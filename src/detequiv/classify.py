@@ -15,7 +15,7 @@ from enum import Enum
 
 from .classd import edge_pattern
 from .errors import MixedCases
-from .kernels import Cycle, cycle_product, require_same_points, reversed_cycle_product
+from .kernels import Cycle, cycle_product, require_same_points
 
 
 class CaseLabel(Enum):
@@ -52,10 +52,11 @@ def classify_3cycle(k, q, cycle):
     require_same_points(k, q)
     if len(cycle) != 3:
         raise ValueError(f"need a 3-cycle, got length {len(cycle)}")
+    reverse = cycle.reverse()
     kf = cycle_product(k, cycle)
-    kr = reversed_cycle_product(k, cycle)
+    kr = cycle_product(k, reverse)
     qf = cycle_product(q, cycle)
-    qr = reversed_cycle_product(q, cycle)
+    qr = cycle_product(q, reverse)
     direct = kf == qf and kr == qr
     flipped = kf == qr and kr == qf
     if direct and flipped:
@@ -77,17 +78,18 @@ def classify_3cycle(k, q, cycle):
 def is_zero_edge(k, q, cycle, edge, case):
     """Whether one edge of a 3-cycle counts as zero under the given framework.
 
-    Under GlobalCase.CASE1 the edge (a, b) is zero when K(a, b) = 0, under
-    GlobalCase.CASE2 when K(b, a) = 0.  The edge's zero layout across both
-    kernels is validated first, so a pair that fits no admissible pattern
-    raises ProblematicPair instead of being typed.
+    The edge (a, b) is zero when K(a, b) = 0; the flipped framework
+    (GlobalCase.CASE2) is the direct one on kᵀ, so there K(b, a) = 0.  The
+    edge's zero layout across both kernels is validated first, so a pair
+    that fits no admissible pattern raises ProblematicPair instead of being
+    typed.
     """
     if edge not in cycle.edges():
         raise ValueError(f"{edge!r} is not an edge of {cycle!r}")
     a, b = edge
     edge_pattern(k, q, a, b)
     if case is GlobalCase.CASE2:
-        return k.field.is_zero(k.rows[b][a])
+        k = k.transpose()
     return k.field.is_zero(k.rows[a][b])
 
 

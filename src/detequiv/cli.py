@@ -335,7 +335,8 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (VerificationFailed, BranchUnavailable, Inconsistent) as exc:
+    except (VerificationFailed, BranchUnavailable, Inconsistent,
+            RuntimeError) as exc:
         print(f"internal verification failure: {exc}", file=sys.stderr)
         return INTERNAL
     except (FieldMismatch, LabelMismatch, GenerationBudgetExceeded) as exc:

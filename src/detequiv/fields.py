@@ -178,9 +178,10 @@ def field_from_doc(doc):
     if doc["kind"] == "rational":
         return Rationals()
     if doc["kind"] == "prime":
-        if "p" not in doc:
-            raise ValueError("prime field document lacks 'p'")
-        return PrimeField(doc["p"])
+        p = doc.get("p")
+        if not isinstance(p, int) or isinstance(p, bool):
+            raise ValueError(f"prime field needs an integer 'p', got {p!r}")
+        return PrimeField(p)
     raise ValueError(f"unknown field kind: {doc['kind']!r}")
 
 

@@ -156,7 +156,10 @@ class Kernel:
         field = field_from_doc(doc["field"])
         labels = doc["labels"]
         entries = doc["entries"]
-        if not isinstance(entries, list):
+        if not isinstance(labels, list):
+            raise ValueError("labels must be a list of strings")
+        if not isinstance(entries, list) or not all(
+                isinstance(row, list) for row in entries):
             raise ValueError("entries must be a list of rows")
         rows = [[field.parse(cell) for cell in row] for row in entries]
         return cls(field, labels, rows)
@@ -263,14 +266,7 @@ def cycle_product(k, cycle):
 
 def reversed_cycle_product(k, cycle):
     """Same as cycle_product with every edge traversed backwards."""
-    for v in cycle.vertices:
-        if v >= k.n:
-            raise IndexError(f"vertex {v} out of range for n={k.n}")
-    f = k.field
-    out = f.one
-    for a, b in cycle.edges():
-        out = f.mul(out, k.rows[b][a])
-    return out
+    return cycle_product(k, cycle.reverse())
 
 
 def enumerate_3cycles(n):

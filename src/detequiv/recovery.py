@@ -4,6 +4,9 @@ Given two kernels that agree on all principal minors and are both
 nondegenerate, the entrywise ratio table built here is a multiplicative
 cocycle, every cocycle is of the form c(x, y) = g(x)/g(y), and conjugating
 by the gauge g (after an optional flip) carries one kernel onto the other.
+The flip needs no code of its own: Q = g Kᵀ g⁻¹ is the direct framework
+with K replaced by Kᵀ, so every step below is written for the direct case
+and the flipped case runs it on the transpose.
 ``recover`` runs that argument as a pipeline with every step re-checked, so
 a returned certificate is self-verifying and a failure is a precise verdict:
 not equivalent, degenerate, mixed frameworks, or (for n <= 3, where the
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 
 from .classd import check_class_d
 from .classify import CaseLabel, CaseTable, GlobalCase, global_case
-from .equivalence import check_equivalence, quick_consequences
+from .equivalence import check_equivalence
 from .errors import (
     BranchUnavailable,
     ClassDViolation,
@@ -74,42 +77,8 @@ def build_cocycle_case1(k, q):
 
 
 def build_cocycle_case2(k, q):
-    """The ratio table for the flipped framework: Q(x, y) = S(x, y) K(y, x).
-
-    Mirrors build_cocycle_case1 with every k-entry transposed:
-
-      K(y,x) != 0              ->  Q(x,y) / K(y,x)
-      K(y,x) = 0, K(x,y) != 0  ->  K(x,y) / Q(y,x)
-      K(x,y) = K(y,x) = 0      ->  Q(x,z) Q(z,y) / (K(z,x) K(y,z))
-    """
-    require_same_points(k, q)
-    f = k.field
-    n = k.n
-    zero = f.is_zero
-    rows = []
-    for x in range(n):
-        row = []
-        for y in range(n):
-            if x == y:
-                row.append(f.one)
-            elif not zero(k.rows[y][x]):
-                row.append(f.div(q.rows[x][y], k.rows[y][x]))
-            elif not zero(k.rows[x][y]):
-                if zero(q.rows[y][x]):
-                    raise BranchUnavailable(
-                        f"entry ({k.labels[y]!r}, {k.labels[x]!r}) is zero in the "
-                        "second kernel though its flipped mate is not", pair=(x, y))
-                row.append(f.div(k.rows[x][y], q.rows[y][x]))
-            else:
-                z = _smallest_pivot(n, x, y)
-                if z is None or zero(k.rows[z][x]) or zero(k.rows[y][z]):
-                    raise BranchUnavailable(
-                        f"no usable pivot for the doubly-zero pair "
-                        f"({k.labels[x]!r}, {k.labels[y]!r})", pair=(x, y))
-                row.append(f.div(f.mul(q.rows[x][z], q.rows[z][y]),
-                                 f.mul(k.rows[z][x], k.rows[y][z])))
-        rows.append(row)
-    return Cocycle(f, k.labels, rows)
+    """The flipped ratio table, Q(x, y) = S(x, y) K(y, x): the direct one on kᵀ."""
+    return build_cocycle_case1(k.transpose(), q)
 
 
 def _smallest_pivot(n, x, y):
@@ -180,13 +149,15 @@ def extract_gauge(c, base):
 def consistency_audit(k, q, x, y, case=GlobalCase.CASE1):
     """Check that the doubly-indirect ratio does not depend on the pivot.
 
-    Preconditions: n >= 4 and the framework's entry at (x, y) is zero
-    (K(x,y) = 0 for CASE1, K(y,x) = 0 for CASE2).  Evaluates the pivot
-    expression of the third cocycle branch at every admissible z; all values
-    must agree, and when the opposite entry is nonzero they must also equal
-    the second branch's value.  Returns the common value, raises
-    Inconsistent otherwise.
+    Preconditions: n >= 4 and K(x, y) = 0.  Evaluates the pivot expression
+    of the third cocycle branch at every admissible z; all values must
+    agree, and when K(y, x) is nonzero they must also equal the second
+    branch's value.  Returns the common value, raises Inconsistent
+    otherwise.  The flipped framework (CASE2) is the direct one on kᵀ, so
+    there the precondition reads K(y, x) = 0.
     """
+    if case is GlobalCase.CASE2:
+        k = k.transpose()
     require_same_points(k, q)
     f = k.field
     n = k.n
@@ -195,29 +166,25 @@ def consistency_audit(k, q, x, y, case=GlobalCase.CASE1):
     if x == y:
         raise ValueError("need two distinct points")
     zero = f.is_zero
-    flipped = case is GlobalCase.CASE2
-    if not zero(k.rows[y][x] if flipped else k.rows[x][y]):
+    if not zero(k.rows[x][y]):
         raise ValueError("the framework's entry at (x, y) is not zero")
     values = []
-    pivots = []
     for z in range(n):
         if z == x or z == y:
             continue
-        ka = k.rows[z][x] if flipped else k.rows[x][z]
-        kb = k.rows[y][z] if flipped else k.rows[z][y]
+        ka = k.rows[x][z]
+        kb = k.rows[z][y]
         if zero(ka) or zero(kb):
             raise BranchUnavailable(
                 f"pivot {k.labels[z]!r} hits a zero entry, which the one-zero "
                 "layout rule forbids", pair=(x, y))
         values.append(f.div(f.mul(q.rows[x][z], q.rows[z][y]), f.mul(ka, kb)))
-        pivots.append(z)
     if any(v != values[0] for v in values[1:]):
         raise Inconsistent(
             f"pivot expression at pair ({k.labels[x]!r}, {k.labels[y]!r}) "
             "depends on the pivot", pair=(x, y), values=values)
-    opposite = k.rows[x][y] if flipped else k.rows[y][x]
-    if not zero(opposite):
-        direct = f.div(opposite, q.rows[y][x])
+    if not zero(k.rows[y][x]):
+        direct = f.div(k.rows[y][x], q.rows[y][x])
         if direct != values[0]:
             raise Inconsistent(
                 f"pivot expression disagrees with the direct ratio at "
@@ -248,14 +215,15 @@ class RecoveryResult:
 def recover(k, q, max_order=None, audit_consistency=False):
     """Decide equivalence and produce the transform carrying k onto q.
 
-    Pipeline: prechecks, minor comparison (full by default), nondegeneracy
-    of both kernels, per-cycle classification, framework selection, ratio
-    table, cocycle laws, gauge extraction at the smallest label, and an
-    entrywise re-check of the certificate.  When every cycle is classified
-    BOTH the framework is ambiguous and a failed reconstruction is retried
-    with the flip before any error escapes.  Kernels with n <= 3 skip the
-    middle (the rigidity argument needs four points) and are solved
-    directly, trying both flips.
+    Pipeline: minor comparison (full by default, and never capped below
+    order two), nondegeneracy of both kernels, per-cycle classification,
+    framework selection, ratio table, cocycle laws, gauge extraction at the
+    smallest label, and an entrywise re-check of the certificate; the
+    flipped framework runs these last steps on kᵀ.  When every cycle is
+    classified BOTH the framework is ambiguous and a failed reconstruction
+    is retried with the flip before any error escapes.  Kernels with n <= 3
+    skip the middle (the rigidity argument needs four points) and are
+    solved directly, trying both flips.
 
     Raises NotEquivalent, ClassDViolation, MixedCases or NotRecoverable for
     negative verdicts, VerificationFailed if the certificate fails its own
@@ -264,16 +232,9 @@ def recover(k, q, max_order=None, audit_consistency=False):
     require_same_points(k, q)
     n = k.n
 
-    pre = quick_consequences(k, q)
-    if not pre.ok:
-        # a precheck failure is an order <= 2 minor mismatch in disguise
-        rep = check_equivalence(k, q, max_order=min(2, n))
-        if not rep.equivalent:
-            raise NotEquivalent(
-                "kernels disagree on a principal minor of order at most two",
-                subset=rep.witness_subset, minor_k=rep.witness_minor_k,
-                minor_q=rep.witness_minor_q)
-
+    # a cap still covers order 2, where diagonals and pair products live
+    if max_order == 1:
+        max_order = min(2, n)
     rep = check_equivalence(k, q, max_order=max_order)
     if not rep.equivalent:
         raise NotEquivalent(
@@ -312,43 +273,32 @@ def recover(k, q, max_order=None, audit_consistency=False):
     case = global_case(table)
 
     # an all-BOTH table cannot distinguish the flip (every 3-cycle product
-    # is orientation-symmetric, typically through shared zeros), so a failed
-    # reconstruction under the default framework is retried under the other
+    # is orientation-symmetric, typically through shared zeros); it lands on
+    # CASE1, so a failed reconstruction there is retried with the flip
     ambiguous = all(r.label is CaseLabel.BOTH for r in table.rows)
     try:
         return _apply_framework(k, q, case, base, audit_consistency)
     except (VerificationFailed, BranchUnavailable, Inconsistent):
         if not ambiguous:
             raise
-        other = (GlobalCase.CASE2 if case is GlobalCase.CASE1
-                 else GlobalCase.CASE1)
-        return _apply_framework(k, q, other, base, audit_consistency)
+        return _apply_framework(k, q, GlobalCase.CASE2, base, audit_consistency)
 
 
 def _apply_framework(k, q, case, base, audit_consistency):
+    # the flipped framework is the direct one on the transpose
     n = k.n
+    transposed = case is GlobalCase.CASE2
+    target = k.transpose() if transposed else k
     audited = 0
     if audit_consistency:
         zero = k.field.is_zero
         for x in range(n):
             for y in range(n):
-                if x == y:
-                    continue
-                framework_entry = (k.rows[y][x] if case is GlobalCase.CASE2
-                                   else k.rows[x][y])
-                if zero(framework_entry):
-                    consistency_audit(k, q, x, y, case)
+                if x != y and zero(target.rows[x][y]):
+                    consistency_audit(target, q, x, y)
                     audited += 1
 
-    if case is GlobalCase.CASE1:
-        cocycle = build_cocycle_case1(k, q)
-        target = k
-        transposed = False
-    else:
-        cocycle = build_cocycle_case2(k, q)
-        target = k.transpose()
-        transposed = True
-
+    cocycle = build_cocycle_case1(target, q)
     chk = verify_cocycle(cocycle)
     if not chk.ok:
         raise VerificationFailed(

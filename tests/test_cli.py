@@ -211,6 +211,32 @@ def test_input_errors_exit_two(tmp_path):
                  "--max-order", "9"]) == 2
 
 
+@pytest.mark.parametrize("change", [
+    {"field": {"kind": "prime", "p": "7"}},
+    {"labels": 5},
+    {"labels": "ab"},
+    {"entries": ["12", "34"]},
+])
+def test_malformed_documents_exit_two(tmp_path, change):
+    good = Kernel(Q, ["a", "b"], [[1, 2], [3, 4]]).to_doc()
+    kp = _write_doc(tmp_path / "k.json", good)
+    bp = _write_doc(tmp_path / "bad.json", {**good, **change})
+    assert main(["check-equiv", "--k", kp, "--q", bp]) == 2
+    assert main(["check-equiv", "--k", bp, "--q", kp]) == 2
+
+
+def test_internal_faults_exit_three(tmp_path, monkeypatch):
+    def fault(*args, **kwargs):
+        raise RuntimeError("this signals a bug")
+
+    monkeypatch.setattr("detequiv.cli.search_counterexample", fault)
+    monkeypatch.setattr("detequiv.cli.perturb", fault)
+    assert main(["search", "--field", "prime:2", "--n", "4",
+                 "--budget", "10"]) == 3
+    kp, qp, _, _, _ = _gen_pair_files(tmp_path)
+    assert main(["perturb", "--k", kp, "--q", qp]) == 3
+
+
 def test_max_order_flag(tmp_path):
     k = Kernel(Q, ["a", "b", "c"], [[1, 1, 1], [1, 1, 1], [1, 1, 1]])
     q = Kernel(Q, ["a", "b", "c"],

@@ -280,3 +280,15 @@ def test_search_hits_are_genuine_counterexamples():
 
 def test_search_empty_result_is_normal():
     assert search_counterexample(F7, 4, 50, seed=0) == []
+
+
+def test_search_below_four_points_returns_hits():
+    # the rigidity theorem needs n >= 4; below that the cross-minor scan
+    # holds vacuously, so an unexplained equivalent pair is a plain hit
+    hits = search_counterexample(PrimeField(2), 3, 3000, 1)
+    assert hits
+    for hit in hits[:10]:
+        k = Kernel.from_doc(hit["k"])
+        q = Kernel.from_doc(hit["q"])
+        assert check_equivalence(k, q).equivalent
+        assert not brute_force_diagonal_similar(k, q).found

@@ -412,6 +412,20 @@ def test_recover_propagates_cap_validation():
         recover(k, k, max_order=5)
 
 
+def test_recover_cap_still_covers_order_two():
+    # q differs from k only at entry (0, 1): every order-1 minor agrees and
+    # the order-2 minor at (0, 1) does not, so a cap of one must not let
+    # the pipeline go on to refute at a 3-cycle instead
+    rng = random.Random(453)
+    k = _nondegenerate_kernel(rng, F101, 5)
+    rows = [list(r) for r in k.rows]
+    rows[0][1] = rows[0][1] % 100 + 1
+    q = Kernel(F101, k.labels, rows)
+    with pytest.raises(NotEquivalent) as info:
+        recover(k, q, max_order=1)
+    assert info.value.subset == (0, 1)
+
+
 def test_all_both_table_retries_the_flipped_framework():
     # double-sided zero edges at the pairs (1,2) and (3,4) put a zero into
     # every triangle, so all cycle products vanish on both sides and the
