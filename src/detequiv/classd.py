@@ -26,71 +26,63 @@ class ClassDReport:
     witness_labels: tuple = None
 
 
-def check_class_d(k):
-    """Scan all off-diagonal cross minors; n < 4 holds vacuously.
+def _vanishing_quad(field, rows):
+    """The lex-least ordered quadruple whose cross minor vanishes, or None.
 
-    The quadruples (x, y, z, w) with x < w and y < z enumerate each
-    row-pair/column-pair combination exactly once, in lexicographic order of
-    the tuple itself; the remaining orderings of a vanishing quadruple only
-    permute the same four entries (up to sign), and the least of them is the
-    one this loop order meets first.  So the first hit is the
-    lexicographically smallest vanishing ordered quadruple overall.
-    """
-    rows = k.rows
-    n = k.n
-    mul = k.field.mul
-    for x in range(n):
-        for y in range(n):
-            if y == x:
-                continue
-            for z in range(y + 1, n):
-                if z == x:
-                    continue
-                for w in range(x + 1, n):
-                    if w == y or w == z:
-                        continue
-                    if mul(rows[x][y], rows[w][z]) == mul(rows[x][z], rows[w][y]):
-                        quad = (x, y, z, w)
-                        return ClassDReport(False, quad,
-                                            tuple(k.labels[i] for i in quad))
-    return ClassDReport(True)
-
-
-def class_d_ok(field, rows):
-    """Early-exit predicate on a raw entry matrix; no witness bookkeeping.
-
-    Kept separate from check_class_d because rejection sampling calls this in
-    a tight loop and only cares about the verdict.
+    Looping over (x, y, z, w) with x < w and y < z, in lexicographic order,
+    meets each row-pair/column-pair once; the other orderings of a vanishing
+    quadruple permute the same four entries, and the least of them comes
+    first in this order.  The field branch sits outside the loop nest because
+    rejection sampling calls this in a tight loop.
     """
     n = len(rows)
     if field.kind == "prime":
         p = field.p
         for x in range(n):
             row_x = rows[x]
-            for w in range(x + 1, n):
-                row_w = rows[w]
-                for y in range(n):
-                    if y == x or y == w:
+            for y in range(n):
+                if y == x:
+                    continue
+                a = row_x[y]
+                for z in range(y + 1, n):
+                    if z == x:
                         continue
-                    for z in range(y + 1, n):
-                        if z == x or z == w:
-                            continue
-                        if (row_x[y] * row_w[z] - row_x[z] * row_w[y]) % p == 0:
-                            return False
-        return True
+                    b = row_x[z]
+                    for w in range(x + 1, n):
+                        if w != y and w != z:
+                            row_w = rows[w]
+                            if (a * row_w[z] - b * row_w[y]) % p == 0:
+                                return (x, y, z, w)
+        return None
     for x in range(n):
         row_x = rows[x]
-        for w in range(x + 1, n):
-            row_w = rows[w]
-            for y in range(n):
-                if y == x or y == w:
+        for y in range(n):
+            if y == x:
+                continue
+            a = row_x[y]
+            for z in range(y + 1, n):
+                if z == x:
                     continue
-                for z in range(y + 1, n):
-                    if z == x or z == w:
-                        continue
-                    if row_x[y] * row_w[z] == row_x[z] * row_w[y]:
-                        return False
-    return True
+                b = row_x[z]
+                for w in range(x + 1, n):
+                    if w != y and w != z:
+                        row_w = rows[w]
+                        if a * row_w[z] == b * row_w[y]:
+                            return (x, y, z, w)
+    return None
+
+
+def check_class_d(k):
+    """Scan all off-diagonal cross minors, reporting the least vanishing one."""
+    quad = _vanishing_quad(k.field, k.rows)
+    if quad is None:
+        return ClassDReport(True)
+    return ClassDReport(False, quad, tuple(k.labels[i] for i in quad))
+
+
+def class_d_ok(field, rows):
+    """The scan's verdict alone, on a raw entry matrix."""
+    return _vanishing_quad(field, rows) is None
 
 
 @dataclass(frozen=True)

@@ -45,7 +45,11 @@ INTERNAL = 3
 
 def _load_kernel(path):
     with open(path, encoding="utf-8") as fh:
-        return Kernel.from_doc(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
+    return Kernel.from_doc(doc)
 
 
 def _load_pair(args):
@@ -166,8 +170,7 @@ def _cmd_recover(args):
     k, q = _load_pair(args)
     f = k.field
     try:
-        result = recover(k, q, max_order=args.max_order,
-                         audit_consistency=args.audit_consistency)
+        result = recover(k, q, max_order=args.max_order)
     except NotEquivalent as exc:
         doc = {"error": "not_equivalent",
                "witness": {"subset": _labels(k, exc.subset),
@@ -299,8 +302,6 @@ def _build_parser():
             "recover and verify the diagonal transform", pair=True)
     p.add_argument("--max-order", type=int, default=None,
                    help="cap the equivalence check order (default: full)")
-    p.add_argument("--audit-consistency", action="store_true",
-                   help="cross-check pivot independence at every zero edge")
 
     p = add("gen", _cmd_gen, "generate a seeded instance with known truth")
     p.add_argument("--field", required=True, help="'rational' or 'prime:P'")

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .kernels import cycle_product, enumerate_3cycles, require_same_points, reversed_cycle_product
+
+_SCAN_GUARD = 2**20  # subsets; admits the full scan up to n = 20
 
 
 @dataclass(frozen=True)
@@ -64,12 +67,17 @@ def check_equivalence(k, q, max_order=None):
     max_order defaults to n (the full check).  Subsets are scanned by
     cardinality and then lexicographically, so a negative verdict carries the
     smallest failing subset and, among those, the lexicographically least.
+    A scan over more than _SCAN_GUARD subsets raises ValueError up front.
     """
     require_same_points(k, q)
     n = k.n
     cap = n if max_order is None else max_order
     if not 1 <= cap <= n:
         raise ValueError(f"max_order must lie in [1, {n}], got {max_order}")
+    subsets = sum(math.comb(n, r) for r in range(1, cap + 1))
+    if subsets > _SCAN_GUARD:
+        raise ValueError(f"minor scan needs {subsets} subsets, over the "
+                         f"{_SCAN_GUARD} guard; lower max_order")
     for order in range(1, cap + 1):
         for subset in itertools.combinations(range(n), order):
             mk = k.principal_minor(subset)

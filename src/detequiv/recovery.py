@@ -65,7 +65,7 @@ def build_cocycle_case1(k, q):
                         "second kernel but not the first", pair=(x, y))
                 row.append(f.div(k.rows[y][x], q.rows[y][x]))
             else:
-                z = _smallest_pivot(n, x, y)
+                z = next((z for z in range(n) if z != x and z != y), None)
                 if z is None or zero(k.rows[x][z]) or zero(k.rows[z][y]):
                     raise BranchUnavailable(
                         f"no usable pivot for the doubly-zero pair "
@@ -74,18 +74,6 @@ def build_cocycle_case1(k, q):
                                  f.mul(k.rows[x][z], k.rows[z][y])))
         rows.append(row)
     return Cocycle(f, k.labels, rows)
-
-
-def build_cocycle_case2(k, q):
-    """The flipped ratio table, Q(x, y) = S(x, y) K(y, x): the direct one on kᵀ."""
-    return build_cocycle_case1(k.transpose(), q)
-
-
-def _smallest_pivot(n, x, y):
-    for z in range(n):
-        if z != x and z != y:
-            return z
-    return None
 
 
 @dataclass(frozen=True)
@@ -198,9 +186,14 @@ class RecoveryResult:
     transposed: bool
     gauge: Gauge
     base_label: str
-    global_case: GlobalCase
-    entries_checked: int
-    audited_pairs: int = 0
+
+    @property
+    def global_case(self):
+        return GlobalCase.CASE2 if self.transposed else GlobalCase.CASE1
+
+    @property
+    def entries_checked(self):
+        return len(self.gauge.values) ** 2
 
     def certificate(self):
         return {
@@ -212,7 +205,7 @@ class RecoveryResult:
         }
 
 
-def recover(k, q, max_order=None, audit_consistency=False):
+def recover(k, q, max_order=None):
     """Decide equivalence and produce the transform carrying k onto q.
 
     Pipeline: minor comparison (full by default, and never capped below
@@ -277,27 +270,18 @@ def recover(k, q, max_order=None, audit_consistency=False):
     # CASE1, so a failed reconstruction there is retried with the flip
     ambiguous = all(r.label is CaseLabel.BOTH for r in table.rows)
     try:
-        return _apply_framework(k, q, case, base, audit_consistency)
-    except (VerificationFailed, BranchUnavailable, Inconsistent):
+        return _apply_framework(k, q, case, base)
+    except (VerificationFailed, BranchUnavailable):
         if not ambiguous:
             raise
-        return _apply_framework(k, q, GlobalCase.CASE2, base, audit_consistency)
+        return _apply_framework(k, q, GlobalCase.CASE2, base)
 
 
-def _apply_framework(k, q, case, base, audit_consistency):
+def _apply_framework(k, q, case, base):
     # the flipped framework is the direct one on the transpose
     n = k.n
     transposed = case is GlobalCase.CASE2
     target = k.transpose() if transposed else k
-    audited = 0
-    if audit_consistency:
-        zero = k.field.is_zero
-        for x in range(n):
-            for y in range(n):
-                if x != y and zero(target.rows[x][y]):
-                    consistency_audit(target, q, x, y)
-                    audited += 1
-
     cocycle = build_cocycle_case1(target, q)
     chk = verify_cocycle(cocycle)
     if not chk.ok:
@@ -318,8 +302,7 @@ def _apply_framework(k, q, case, base, audit_consistency):
                         detail={"entry": (i, j)})
 
     return RecoveryResult(transposed=transposed, gauge=gauge,
-                          base_label=k.labels[base], global_case=case,
-                          entries_checked=n * n, audited_pairs=audited)
+                          base_label=k.labels[base])
 
 
 def _recover_small(k, q, base):
@@ -333,7 +316,6 @@ def _recover_small(k, q, base):
     sizes, so failure of both flips is reported as NotRecoverable rather
     than as an internal error.
     """
-    n = k.n
     for transposed in (False, True):
         target = k.transpose() if transposed else k
         values = _propagate_gauge(k.field, target.rows, q.rows, base)
@@ -341,9 +323,7 @@ def _recover_small(k, q, base):
             return RecoveryResult(
                 transposed=transposed,
                 gauge=Gauge(k.field, k.labels, values),
-                base_label=k.labels[base],
-                global_case=GlobalCase.CASE2 if transposed else GlobalCase.CASE1,
-                entries_checked=n * n)
+                base_label=k.labels[base])
     raise NotRecoverable(
         "kernels agree on all principal minors but no diagonal change of "
         "variables relates them, flipped or not")

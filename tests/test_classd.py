@@ -106,6 +106,18 @@ def test_scan_matches_brute_force():
                 assert rep.witness == min(vanishing)
 
 
+def test_scan_matches_permutation_reference():
+    # the reference knows nothing of the scan's loop order: it takes the
+    # least of all vanishing ordered quadruples
+    rng = random.Random(415)
+    for field in (PrimeField(2), PrimeField(3), F7, Q):
+        for _ in range(500):
+            k = _random_kernel(rng, field, rng.randint(1, 6))
+            ref = min(_vanishing_quadruples(k), default=None)
+            assert check_class_d(k).witness == ref
+            assert class_d_ok(field, k.rows) == (ref is None)
+
+
 def test_verdict_invariant_under_conjugation_and_flip():
     rng = random.Random(413)
     for _ in range(40):

@@ -92,8 +92,7 @@ def test_recover_round_trip(tmp_path, capsys):
             tmp_path, field=F7, n=5, transpose=transpose, zeros=1,
             seed=20 + int(transpose))
         out = tmp_path / "cert.json"
-        code = main(["recover", "--k", kp, "--q", qp,
-                     "--audit-consistency", "--out", str(out)])
+        code = main(["recover", "--k", kp, "--q", qp, "--out", str(out)])
         assert code == 0
         cert = json.loads(out.read_text())
         assert set(cert) == {"transposed", "base", "gauge",
@@ -235,6 +234,31 @@ def test_internal_faults_exit_three(tmp_path, monkeypatch):
                  "--budget", "10"]) == 3
     kp, qp, _, _, _ = _gen_pair_files(tmp_path)
     assert main(["perturb", "--k", kp, "--q", qp]) == 3
+
+
+def test_deeply_nested_json_exits_two(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    assert main(["check-equiv", "--k", str(deep), "--q", str(deep)]) == 2
+    assert str(deep) in capsys.readouterr().err
+
+
+def test_oversized_minor_scan_exits_two(tmp_path, capsys):
+    n = 21
+    rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    kp = _write_doc(tmp_path / "k.json",
+                    Kernel(Q, [str(i) for i in range(n)], rows).to_doc())
+    assert main(["check-equiv", "--k", kp, "--q", kp]) == 2
+    assert main(["recover", "--k", kp, "--q", kp]) == 2
+    assert "2097151 subsets" in capsys.readouterr().err
+    assert main(["check-equiv", "--k", kp, "--q", kp, "--max-order", "3"]) == 0
+
+
+def test_audit_consistency_flag_is_gone(tmp_path):
+    kp, qp, _, _, _ = _gen_pair_files(tmp_path)
+    with pytest.raises(SystemExit) as info:
+        main(["recover", "--k", kp, "--q", qp, "--audit-consistency"])
+    assert info.value.code == 2
 
 
 def test_max_order_flag(tmp_path):

@@ -157,6 +157,16 @@ def test_max_order_validation():
     assert check_equivalence(k, k, max_order=1).equivalent
 
 
+def test_scan_guard_rejects_oversized_full_scan():
+    rng = random.Random(421)
+    k = _random_kernel(rng, PrimeField(101), 21)
+    with pytest.raises(ValueError, match="2097151 subsets"):
+        check_equivalence(k, k)
+    capped = check_equivalence(k, k, max_order=3)
+    assert capped.equivalent
+    assert capped.checked_order_max == 3
+
+
 def test_mismatched_points_rejected():
     k = Kernel(Q, ["a", "b"], [[1, 2], [3, 4]])
     q = Kernel(Q, ["a", "c"], [[1, 2], [3, 4]])
