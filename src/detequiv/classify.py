@@ -158,9 +158,8 @@ def four_point_audit(k, q):
     require_same_points(k, q)
     if k.n < 4:
         raise ValueError(f"four-point audit needs n >= 4, got n={k.n}")
-    label_of = {}
-    for triple in itertools.combinations(range(k.n), 3):
-        label_of[triple] = classify_3cycle(k, q, Cycle(triple)).label
+    label_of = {row.cycle.vertices: row.label
+                for row in CaseTable.build(k, q).rows}
     violations = []
     for quad in itertools.combinations(range(k.n), 4):
         labels = tuple(label_of[t] for t in itertools.combinations(quad, 3))

@@ -209,14 +209,15 @@ def recover(k, q, max_order=None):
     """Decide equivalence and produce the transform carrying k onto q.
 
     Pipeline: minor comparison (full by default, and never capped below
-    order two), nondegeneracy of both kernels, per-cycle classification,
-    framework selection, ratio table, cocycle laws, gauge extraction at the
-    smallest label, and an entrywise re-check of the certificate; the
-    flipped framework runs these last steps on kᵀ.  When every cycle is
-    classified BOTH the framework is ambiguous and a failed reconstruction
-    is retried with the flip before any error escapes.  Kernels with n <= 3
-    skip the middle (the rigidity argument needs four points) and are
-    solved directly, trying both flips.
+    order two), nondegeneracy of both kernels (from n = 4 on), then a
+    gauge solve and an entrywise re-check, first on k and then on kᵀ; the
+    first certificate that passes is returned, since a passing re-check
+    already proves which framework applies.  From n = 4 on the solve is the
+    ratio table, the cocycle laws and gauge extraction at the smallest
+    label; below that the rigidity argument has no room to work and the
+    gauge is propagated along nonzero entries.  The 3-cycle case table is
+    built only to explain two failed solves, which a full minor scan rules
+    out for n >= 4.
 
     Raises NotEquivalent, ClassDViolation, MixedCases or NotRecoverable for
     negative verdicts, VerificationFailed if the certificate fails its own
@@ -235,17 +236,35 @@ def recover(k, q, max_order=None):
             subset=rep.witness_subset, minor_k=rep.witness_minor_k,
             minor_q=rep.witness_minor_q)
 
+    if n >= 4:
+        for role, kern in (("first", k), ("second", q)):
+            crep = check_class_d(kern)
+            if not crep.holds:
+                raise ClassDViolation(
+                    f"the {role} kernel has a vanishing cross minor at "
+                    f"{crep.witness_labels!r}", kernel_role=role,
+                    witness=crep.witness)
+
     base = min(range(n), key=lambda i: k.labels[i])
+    solve = _propagate_gauge if n <= 3 else _cocycle_gauge
+    failures = []
+    for transposed in (False, True):
+        target = k.transpose() if transposed else k
+        try:
+            gauge = solve(target, q, base)
+            _recheck(target, q, gauge)
+        except (VerificationFailed, BranchUnavailable) as exc:
+            failures.append(exc)
+            continue
+        return RecoveryResult(transposed=transposed, gauge=gauge,
+                              base_label=k.labels[base])
+
     if n <= 3:
-        return _recover_small(k, q, base)
-
-    for role, kern in (("first", k), ("second", q)):
-        crep = check_class_d(kern)
-        if not crep.holds:
-            raise ClassDViolation(
-                f"the {role} kernel has a vanishing cross minor at "
-                f"{crep.witness_labels!r}", kernel_role=role, witness=crep.witness)
-
+        # equivalent pairs with no transform exist below four points
+        raise NotRecoverable(
+            "kernels agree on all principal minors but no diagonal change of "
+            "variables relates them, flipped or not")
+    # only a capped scan gets here; the case table says why both failed
     table = CaseTable.build(k, q)
     bad = table.neither_rows()
     if bad:
@@ -262,87 +281,39 @@ def recover(k, q, max_order=None):
                 "q_forward": f.format(row.q_forward),
                 "q_reversed": f.format(row.q_reversed),
             })
-
-    case = global_case(table)
-
-    # an all-BOTH table cannot distinguish the flip (every 3-cycle product
-    # is orientation-symmetric, typically through shared zeros); it lands on
-    # CASE1, so a failed reconstruction there is retried with the flip
-    ambiguous = all(r.label is CaseLabel.BOTH for r in table.rows)
-    try:
-        return _apply_framework(k, q, case, base)
-    except (VerificationFailed, BranchUnavailable):
-        if not ambiguous:
-            raise
-        return _apply_framework(k, q, GlobalCase.CASE2, base)
+    global_case(table)  # raises MixedCases when the labels mix
+    direct = any(r.label is CaseLabel.CASE1_ONLY for r in table.rows)
+    raise failures[0 if direct else 1]
 
 
-def _apply_framework(k, q, case, base):
-    # the flipped framework is the direct one on the transpose
-    n = k.n
-    transposed = case is GlobalCase.CASE2
-    target = k.transpose() if transposed else k
+def _cocycle_gauge(target, q, base):
     cocycle = build_cocycle_case1(target, q)
     chk = verify_cocycle(cocycle)
     if not chk.ok:
         raise VerificationFailed(
             f"ratio table violates the {chk.violation.law} law at "
             f"{chk.violation.points!r}", detail=chk.violation)
-
-    gauge = extract_gauge(cocycle, base)
-
-    recon = target.conjugate(gauge)
-    if recon.rows != q.rows:
-        for i in range(n):
-            for j in range(n):
-                if recon.rows[i][j] != q.rows[i][j]:
-                    raise VerificationFailed(
-                        f"certificate fails at entry "
-                        f"({k.labels[i]!r}, {k.labels[j]!r})",
-                        detail={"entry": (i, j)})
-
-    return RecoveryResult(transposed=transposed, gauge=gauge,
-                          base_label=k.labels[base])
+    return extract_gauge(cocycle, base)
 
 
-def _recover_small(k, q, base):
-    """Direct solve for n <= 3: propagate a gauge along nonzero entries.
+def _propagate_gauge(target, q, base):
+    """Solve q = g t g^(-1) for n <= 3 by pushing g along nonzero entries.
 
-    With so few points the nondegeneracy machinery has nothing to grip, but
-    equivalence has already been established and the search space is tiny:
-    for each flip, fix g = 1 at the base point (and at the root of any
-    component the base cannot reach), push g along nonzero entries, and
-    re-check every entry.  Equivalent-but-unrecoverable pairs exist at these
-    sizes, so failure of both flips is reported as NotRecoverable rather
-    than as an internal error.
+    Requires matching zero layouts, then fixes g = 1 at the base point and
+    at each later root the base cannot reach, and pushes g across every
+    nonzero entry (in either direction).  A cycle that disagrees is left for
+    the re-check to catch.
     """
-    for transposed in (False, True):
-        target = k.transpose() if transposed else k
-        values = _propagate_gauge(k.field, target.rows, q.rows, base)
-        if values is not None:
-            return RecoveryResult(
-                transposed=transposed,
-                gauge=Gauge(k.field, k.labels, values),
-                base_label=k.labels[base])
-    raise NotRecoverable(
-        "kernels agree on all principal minors but no diagonal change of "
-        "variables relates them, flipped or not")
-
-
-def _propagate_gauge(field, t_rows, q_rows, base):
-    """Solve q = g t g^(-1) for a diagonal g with g(base) = 1, or None.
-
-    Requires matching zero layouts, then pushes g across every nonzero
-    entry (in either direction) from the base and from each later root; a
-    final full re-check catches inconsistent cycles, so a non-None answer
-    is always a verified solution.
-    """
+    field = target.field
+    t_rows, q_rows = target.rows, q.rows
     n = len(t_rows)
     zero = field.is_zero
     for i in range(n):
         for j in range(n):
             if zero(t_rows[i][j]) != zero(q_rows[i][j]):
-                return None
+                raise BranchUnavailable(
+                    f"entry ({q.labels[i]!r}, {q.labels[j]!r}) is zero in only "
+                    "one kernel", pair=(i, j))
     g = [None] * n
     order = [base] + [i for i in range(n) if i != base]
     for root in order:
@@ -363,8 +334,14 @@ def _propagate_gauge(field, t_rows, q_rows, base):
                     # q(j,i) = g(j) t(j,i) / g(i)
                     g[j] = field.div(field.mul(q_rows[j][i], g[i]), t_rows[j][i])
                     stack.append(j)
-    for i in range(n):
-        for j in range(n):
-            if q_rows[i][j] != field.div(field.mul(g[i], t_rows[i][j]), g[j]):
-                return None
-    return g
+    return Gauge(field, target.labels, g)
+
+
+def _recheck(target, q, gauge):
+    recon = target.conjugate(gauge)
+    if recon.rows != q.rows:
+        i, j = next((i, j) for i in range(q.n) for j in range(q.n)
+                    if recon.rows[i][j] != q.rows[i][j])
+        raise VerificationFailed(
+            f"certificate fails at entry ({q.labels[i]!r}, {q.labels[j]!r})",
+            detail={"entry": (i, j)})
