@@ -61,16 +61,12 @@ class EquivalenceReport:
     witness_minor_q: object = None
 
 
-def check_equivalence(k, q, max_order=None):
-    """Compare principal minors on every subset of size 1..max_order.
+def _scan_cap(n, max_order):
+    """The highest order a minor scan reaches, after validating max_order.
 
-    max_order defaults to n (the full check).  Subsets are scanned by
-    cardinality and then lexicographically, so a negative verdict carries the
-    smallest failing subset and, among those, the lexicographically least.
-    A scan over more than _SCAN_GUARD subsets raises ValueError up front.
+    max_order defaults to n.  Raises ValueError for a cap outside [1, n]
+    and, up front, for a scan over more than _SCAN_GUARD subsets.
     """
-    require_same_points(k, q)
-    n = k.n
     cap = n if max_order is None else max_order
     if not 1 <= cap <= n:
         raise ValueError(f"max_order must lie in [1, {n}], got {max_order}")
@@ -78,7 +74,23 @@ def check_equivalence(k, q, max_order=None):
     if subsets > _SCAN_GUARD:
         raise ValueError(f"minor scan needs {subsets} subsets, over the "
                          f"{_SCAN_GUARD} guard; lower max_order")
-    for order in range(1, cap + 1):
+    return cap
+
+
+def check_equivalence(k, q, max_order=None, *, min_order=1):
+    """Compare principal minors on every subset of size min_order..max_order.
+
+    max_order defaults to n (the full check).  Subsets are scanned by
+    cardinality and then lexicographically, so a negative verdict carries the
+    smallest failing subset and, among those, the lexicographically least;
+    a caller that has already matched the orders below min_order gets the
+    same witness from the rest of the scan.  The guard of ``_scan_cap``
+    counts every order from 1 to max_order.
+    """
+    require_same_points(k, q)
+    n = k.n
+    cap = _scan_cap(n, max_order)
+    for order in range(min_order, cap + 1):
         for subset in itertools.combinations(range(n), order):
             mk = k.principal_minor(subset)
             mq = q.principal_minor(subset)

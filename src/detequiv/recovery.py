@@ -8,7 +8,9 @@ The flip needs no code of its own: Q = g Kᵀ g⁻¹ is the direct framework
 with K replaced by Kᵀ, so every step below is written for the direct case
 and the flipped case runs it on the transpose.
 ``recover`` runs that argument as a pipeline with every step re-checked, so
-a returned certificate is self-verifying and a failure is a precise verdict:
+a returned certificate is self-verifying: gauge and flip preserve every
+principal minor, so the minors above order three are compared only to
+refute a pair that no certificate fits.  A failure is a precise verdict:
 not equivalent, degenerate, mixed frameworks, or (for n <= 3, where the
 rigidity argument has no room to work) possibly just not recoverable.
 """
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 from .classd import check_class_d
 from .classify import CaseLabel, CaseTable, GlobalCase, global_case
-from .equivalence import check_equivalence
+from .equivalence import _scan_cap, check_equivalence
 from .errors import (
     BranchUnavailable,
     ClassDViolation,
@@ -208,16 +210,18 @@ class RecoveryResult:
 def recover(k, q, max_order=None):
     """Decide equivalence and produce the transform carrying k onto q.
 
-    Pipeline: minor comparison (full by default, and never capped below
-    order two), nondegeneracy of both kernels (from n = 4 on), then a
-    gauge solve and an entrywise re-check, first on k and then on kᵀ; the
-    first certificate that passes is returned, since a passing re-check
-    already proves which framework applies.  From n = 4 on the solve is the
-    ratio table, the cocycle laws and gauge extraction at the smallest
-    label; below that the rigidity argument has no room to work and the
-    gauge is propagated along nonzero entries.  The 3-cycle case table is
-    built only to explain two failed solves, which a full minor scan rules
-    out for n >= 4.
+    Pipeline: the minor comparison up to order three (never capped below
+    order two), then a gauge solve and an entrywise re-check, first on k
+    and then on kᵀ.  From n = 4 on the solve is the ratio table, the
+    cocycle laws and gauge extraction at the smallest label; below that the
+    gauge is propagated along nonzero entries.  The first certificate that
+    passes is returned once both kernels pass the nondegeneracy scan (from
+    n = 4 on): gauge and flip preserve every principal minor, so it proves
+    full equivalence without a scan above order three.  Only two failed
+    solves pay for the rest of the scan, up to max_order (n by default),
+    whose witness still comes before any other verdict; then come the
+    nondegeneracy scan and, below n = 4 or after a capped scan, the verdict
+    on the failure.
 
     Raises NotEquivalent, ClassDViolation, MixedCases or NotRecoverable for
     negative verdicts, VerificationFailed if the certificate fails its own
@@ -229,21 +233,8 @@ def recover(k, q, max_order=None):
     # a cap still covers order 2, where diagonals and pair products live
     if max_order == 1:
         max_order = min(2, n)
-    rep = check_equivalence(k, q, max_order=max_order)
-    if not rep.equivalent:
-        raise NotEquivalent(
-            f"kernels disagree on the principal minor at {rep.witness_subset!r}",
-            subset=rep.witness_subset, minor_k=rep.witness_minor_k,
-            minor_q=rep.witness_minor_q)
-
-    if n >= 4:
-        for role, kern in (("first", k), ("second", q)):
-            crep = check_class_d(kern)
-            if not crep.holds:
-                raise ClassDViolation(
-                    f"the {role} kernel has a vanishing cross minor at "
-                    f"{crep.witness_labels!r}", kernel_role=role,
-                    witness=crep.witness)
+    cap = _scan_cap(n, max_order)
+    _refute(check_equivalence(k, q, max_order=min(cap, 3)))
 
     base = min(range(n), key=lambda i: k.labels[i])
     solve = _propagate_gauge if n <= 3 else _cocycle_gauge
@@ -256,9 +247,13 @@ def recover(k, q, max_order=None):
         except (VerificationFailed, BranchUnavailable) as exc:
             failures.append(exc)
             continue
+        _require_class_d(k, q)
         return RecoveryResult(transposed=transposed, gauge=gauge,
                               base_label=k.labels[base])
 
+    if cap > 3:
+        _refute(check_equivalence(k, q, max_order=cap, min_order=4))
+    _require_class_d(k, q)
     if n <= 3:
         # equivalent pairs with no transform exist below four points
         raise NotRecoverable(
@@ -284,6 +279,26 @@ def recover(k, q, max_order=None):
     global_case(table)  # raises MixedCases when the labels mix
     direct = any(r.label is CaseLabel.CASE1_ONLY for r in table.rows)
     raise failures[0 if direct else 1]
+
+
+def _refute(rep):
+    if not rep.equivalent:
+        raise NotEquivalent(
+            f"kernels disagree on the principal minor at {rep.witness_subset!r}",
+            subset=rep.witness_subset, minor_k=rep.witness_minor_k,
+            minor_q=rep.witness_minor_q)
+
+
+def _require_class_d(k, q):
+    if k.n < 4:
+        return
+    for role, kern in (("first", k), ("second", q)):
+        crep = check_class_d(kern)
+        if not crep.holds:
+            raise ClassDViolation(
+                f"the {role} kernel has a vanishing cross minor at "
+                f"{crep.witness_labels!r}", kernel_role=role,
+                witness=crep.witness)
 
 
 def _cocycle_gauge(target, q, base):
