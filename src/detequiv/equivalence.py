@@ -1,4 +1,12 @@
-"""Order-by-order comparison of principal minors between two kernels."""
+"""Order-by-order comparison of principal minors between two kernels.
+
+Orders 1-3 are compared by closed form, since a determinant is a sum over
+cycle covers.  With equal diagonals, det{i,j} = k_ii k_jj - k_ij k_ji differs
+exactly when the pair products k_ij k_ji differ; with every order-1 and
+order-2 minor on {a,b,c} equal, det{a,b,c} differs exactly when the forward +
+reversed 3-cycle sum differs.  A determinant is computed only at the witness
+and from order 4 on.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .kernels import cycle_product, enumerate_3cycles, require_same_points, reversed_cycle_product
+from .kernels import Cycle, require_same_points
 
 _SCAN_GUARD = 2**20  # subsets; admits the full scan up to n = 20
 
@@ -33,23 +41,27 @@ def quick_consequences(k, q):
 
     These are exactly what agreement of order-1 and order-2 principal minors
     forces, so any failure here refutes equivalence with a witness of size
-    at most two.
+    at most two.  Failures come in the minor scan's order: diagonals, then
+    pairs lexicographically.
     """
     require_same_points(k, q)
-    f = k.field
+    return PrecheckReport(tuple(_precheck_failures(k, q)))
+
+
+def _precheck_failures(k, q):
+    """Yield quick_consequences' failures lazily, in scan order."""
+    mul = k.field.mul
+    kr, qr = k.rows, q.rows
     n = k.n
-    failures = []
     for i in range(n):
-        if k.rows[i][i] != q.rows[i][i]:
-            failures.append(PrecheckFailure("diagonal", (i,),
-                                            k.rows[i][i], q.rows[i][i]))
+        if kr[i][i] != qr[i][i]:
+            yield PrecheckFailure("diagonal", (i,), kr[i][i], qr[i][i])
     for i in range(n):
         for j in range(i + 1, n):
-            kp = f.mul(k.rows[i][j], k.rows[j][i])
-            qp = f.mul(q.rows[i][j], q.rows[j][i])
+            kp = mul(kr[i][j], kr[j][i])
+            qp = mul(qr[i][j], qr[j][i])
             if kp != qp:
-                failures.append(PrecheckFailure("pair", (i, j), kp, qp))
-    return PrecheckReport(tuple(failures))
+                yield PrecheckFailure("pair", (i, j), kp, qp)
 
 
 @dataclass(frozen=True)
@@ -77,26 +89,53 @@ def _scan_cap(n, max_order):
     return cap
 
 
-def check_equivalence(k, q, max_order=None, *, min_order=1):
-    """Compare principal minors on every subset of size min_order..max_order.
+def check_equivalence(k, q, max_order=None):
+    """Compare principal minors on every subset of size 1..max_order.
 
     max_order defaults to n (the full check).  Subsets are scanned by
     cardinality and then lexicographically, so a negative verdict carries the
-    smallest failing subset and, among those, the lexicographically least;
-    a caller that has already matched the orders below min_order gets the
-    same witness from the rest of the scan.  The guard of ``_scan_cap``
-    counts every order from 1 to max_order.
+    smallest failing subset and, among those, the lexicographically least.
+    Orders 1-3 are compared by closed form (module docstring), which is exact
+    because the scan reaches an order only after every smaller subset has
+    agreed; a determinant is computed at the witness and from order 4 on.
     """
     require_same_points(k, q)
     n = k.n
     cap = _scan_cap(n, max_order)
-    for order in range(min_order, cap + 1):
+    subset = _closed_form_witness(k, q, min(cap, 3))
+    if subset is not None:
+        return EquivalenceReport(False, cap, subset, k.principal_minor(subset),
+                                 q.principal_minor(subset))
+    for order in range(4, cap + 1):
         for subset in itertools.combinations(range(n), order):
             mk = k.principal_minor(subset)
             mq = q.principal_minor(subset)
             if mk != mq:
                 return EquivalenceReport(False, cap, subset, mk, mq)
     return EquivalenceReport(True, cap)
+
+
+def _closed_form_witness(k, q, top):
+    """The first subset of size at most top, in scan order, whose minor differs."""
+    witness = next((fail.points for fail in _precheck_failures(k, q)
+                    if len(fail.points) <= top), None)
+    if witness is None and top >= 3:
+        witness = next((subset for subset, _, _ in _cycle_sum_drift(k, q)), None)
+    return witness
+
+
+def _cycle_sum_drift(k, q):
+    """Yield (subset, k_sum, q_sum) for each 3-subset, in lex order, whose
+    forward + reversed 3-cycle sums differ between k and q."""
+    mul, add = k.field.mul, k.field.add
+    kr, qr = k.rows, q.rows
+    for a, b, c in itertools.combinations(range(k.n), 3):
+        ks = add(mul(mul(kr[a][b], kr[b][c]), kr[c][a]),
+                 mul(mul(kr[a][c], kr[c][b]), kr[b][a]))
+        qs = add(mul(mul(qr[a][b], qr[b][c]), qr[c][a]),
+                 mul(mul(qr[a][c], qr[c][b]), qr[b][a]))
+        if ks != qs:
+            yield (a, b, c), ks, qs
 
 
 @dataclass(frozen=True)
@@ -112,16 +151,13 @@ def trace_identity_audit(k, q):
     For determinantally equivalent kernels the sum of the forward and the
     reversed product around any 3-cycle must agree between the two (it is
     what is left of the order-3 minor once orders 1 and 2 are matched).
-    Returns the violating cycles; empty means the audit passed.
+    Returns the violating cycles, both orientations of each, sorted by
+    vertices; empty means the audit passed.
     """
     require_same_points(k, q)
-    f = k.field
     violations = []
-    if k.n < 3:
-        return tuple(violations)
-    for cyc in enumerate_3cycles(k.n):
-        ks = f.add(cycle_product(k, cyc), reversed_cycle_product(k, cyc))
-        qs = f.add(cycle_product(q, cyc), reversed_cycle_product(q, cyc))
-        if ks != qs:
-            violations.append(TraceViolation(cyc, ks, qs))
+    for (a, b, c), ks, qs in _cycle_sum_drift(k, q):
+        violations.append(TraceViolation(Cycle((a, b, c)), ks, qs))
+        violations.append(TraceViolation(Cycle((a, c, b)), ks, qs))
+    violations.sort(key=lambda v: v.cycle.vertices)
     return tuple(violations)

@@ -252,7 +252,7 @@ def recover(k, q, max_order=None):
                               base_label=k.labels[base])
 
     if cap > 3:
-        _refute(check_equivalence(k, q, max_order=cap, min_order=4))
+        _refute(check_equivalence(k, q, max_order=cap))
     _require_class_d(k, q)
     if n <= 3:
         # equivalent pairs with no transform exist below four points

@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 from detequiv.equivalence import (
+    EquivalenceReport,
     check_equivalence,
     quick_consequences,
     trace_identity_audit,
@@ -172,6 +173,73 @@ def test_mismatched_points_rejected():
     q = Kernel(Q, ["a", "c"], [[1, 2], [3, 4]])
     with pytest.raises(LabelMismatch):
         check_equivalence(k, q)
+
+
+# ----------------------------------------------- closed form for orders 1-3
+
+
+_DIFF_FIELDS = (PrimeField(2), PrimeField(3), F7, PrimeField(101), Q)
+
+
+def _sparse_kernel(rng, field, n, zero_share):
+    k = _random_kernel(rng, field, n)
+    return Kernel(field, k.labels,
+                  [[field.zero if rng.random() < zero_share else v for v in row]
+                   for row in k.rows])
+
+
+def _variant(rng, k, kind):
+    """A partner for k that agrees with it, or first differs at a low order."""
+    field, n = k.field, k.n
+    rows = [list(r) for r in k.rows]
+    i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+    if kind == "diagonal":          # an order-1 minor
+        rows[i][i] = field.add(rows[i][i], field.one)
+    elif kind == "entry" and n > 1:  # a pair product, unless k(j, i) = 0
+        rows[i][j] = field.add(rows[i][j], field.one)
+    elif kind == "swap" and n > 1:   # same pair products, other 3-cycle sums
+        rows[i][j], rows[j][i] = rows[j][i], rows[i][j]
+    base = Kernel(field, k.labels, rows)
+    if kind == "flip":              # swaps every forward and reversed product
+        base = base.transpose()
+    return base.conjugate(_random_gauge(rng, field, k.labels))
+
+
+def _reference_reports(k, q):
+    """check_equivalence by determinants, for every cap."""
+    n = k.n
+    scan = [(s, k.principal_minor(s), q.principal_minor(s))
+            for order in range(1, n + 1)
+            for s in itertools.combinations(range(n), order)]
+    return {cap: next((EquivalenceReport(False, cap, s, mk, mq)
+                       for s, mk, mq in scan if len(s) <= cap and mk != mq),
+                      EquivalenceReport(True, cap))
+            for cap in range(1, n + 1)}
+
+
+def test_low_order_closed_form_matches_determinants():
+    rng = random.Random(406)
+    first_orders = set()
+    flips_passed = 0
+    for field in _DIFF_FIELDS:
+        for n in range(1, 8):
+            for zero_share in (0.0, 0.3, 0.6):
+                k = _sparse_kernel(rng, field, n, zero_share)
+                for kind in ("gauge", "flip", "diagonal", "entry", "swap"):
+                    q = _variant(rng, k, kind)
+                    for cap, want in _reference_reports(k, q).items():
+                        got = check_equivalence(k, q, max_order=cap)
+                        assert got == want, (field, n, kind, cap)
+                        if cap < n:
+                            continue
+                        if not want.equivalent:
+                            first_orders.add(len(want.witness_subset))
+                        elif kind == "flip" and n >= 3:
+                            flips_passed += 1
+    # the pairs reach every closed-form order, and flips that only a
+    # forward + reversed sum (not the forward product alone) lets through
+    assert {1, 2, 3} <= first_orders
+    assert flips_passed > 0
 
 
 # -------------------------------------------------------------- prechecks
