@@ -9,6 +9,12 @@ its entries touches the diagonal.  A kernel all of whose such minors are
 nonzero is rigid enough that agreement of principal minors pins down the
 kernel up to a diagonal change of variables and an optional flip, which is
 why the recovery pipeline insists on this property for both inputs.
+
+``check_class_d`` scans integer rows (``fields.integer_rows``): over Q each
+row x is scaled by D_x, the lcm of its denominators.  The cross minor on rows
+{x,w} takes one entry from each of them in both of its terms, so scaling
+multiplies it by D_x D_w, which is nonzero: the same cross minors vanish and
+the witness is the same, found without a Fraction multiply.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ProblematicPair
+from .fields import integer_rows
 from .kernels import require_same_points
 
 
@@ -74,7 +81,8 @@ def _vanishing_quad(field, rows):
 
 def check_class_d(k):
     """Scan all off-diagonal cross minors, reporting the least vanishing one."""
-    quad = _vanishing_quad(k.field, k.rows)
+    (rows,), _ = integer_rows(k.field, k.rows)
+    quad = _vanishing_quad(k.field, rows)
     if quad is None:
         return ClassDReport(True)
     return ClassDReport(False, quad, tuple(k.labels[i] for i in quad))

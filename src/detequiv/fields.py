@@ -201,19 +201,30 @@ def determinant(field, rows):
         return field.one
     if isinstance(field, PrimeField):
         return _det_prime(rows, field.p)
-    return _det_rational(rows)
+    (scaled,), scales = integer_rows(field, rows)
+    return Fraction(_det_int_bareiss(scaled), math.prod(scales))
 
 
-def _det_rational(rows):
-    denom = 1
-    scaled = []
-    for row in rows:
-        common = 1
-        for e in row:
-            common = common * e.denominator // math.gcd(common, e.denominator)
-        scaled.append([e.numerator * (common // e.denominator) for e in row])
-        denom *= common
-    return Fraction(_det_int_bareiss(scaled), denom)
+def integer_rows(field, *matrices):
+    """The matrices as integer rows whose minors compare exactly, and the scales.
+
+    Over GF(p) the values already are ints and stay as they are; a product
+    of them is reduced once, when it is compared.  Over Q row i of every
+    matrix is multiplied by one shared D_i, the lcm of the denominators in
+    row i of all of them.  Each term of a determinant takes exactly one
+    entry from each row, so every minor, and every cross minor, on rows S
+    of each matrix is scaled by the same product of D_i over S, and the
+    scaled values compare as the unscaled ones do.  Returns the scaled
+    matrices and the list of D_i (all ones over GF(p)).
+    """
+    n = len(matrices[0])
+    if field.kind == "prime":
+        return matrices, [1] * n
+    scales = [math.lcm(*(e.denominator for m in matrices for e in m[i]))
+              for i in range(n)]
+    scaled = tuple([[e.numerator * (d // e.denominator) for e in m[i]]
+                    for i, d in enumerate(scales)] for m in matrices)
+    return scaled, scales
 
 
 def _det_int_bareiss(m):

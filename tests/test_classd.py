@@ -118,6 +118,29 @@ def test_scan_matches_permutation_reference():
             assert class_d_ok(field, k.rows) == (ref is None)
 
 
+def test_scan_matches_fraction_loop_on_wide_denominators():
+    # the scan runs on rows scaled to integers; the reference multiplies
+    # the Fractions themselves
+    rng = random.Random(416)
+    held = 0
+    for _ in range(300):
+        n = rng.randint(4, 7)
+        rows = [[Fraction(0) if rng.random() < 0.1 else
+                 Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+                 for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.7:
+            # make one cross minor vanish: h(w,z) = h(x,z) h(w,y) / h(x,y)
+            x, y, z, w = rng.sample(range(n), 4)
+            if rows[x][y]:
+                rows[w][z] = rows[x][z] * rows[w][y] / rows[x][y]
+        k = Kernel(Q, [str(i + 1) for i in range(n)], rows)
+        ref = min(_vanishing_quadruples(k), default=None)
+        rep = check_class_d(k)
+        assert (rep.holds, rep.witness) == (ref is None, ref)
+        held += rep.holds
+    assert 0 < held < 300
+
+
 def test_verdict_invariant_under_conjugation_and_flip():
     rng = random.Random(413)
     for _ in range(40):

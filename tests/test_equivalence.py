@@ -12,13 +12,16 @@ import pytest
 
 from detequiv.equivalence import (
     EquivalenceReport,
+    PrecheckFailure,
+    PrecheckReport,
+    TraceViolation,
     check_equivalence,
     quick_consequences,
     trace_identity_audit,
 )
 from detequiv.errors import LabelMismatch
 from detequiv.fields import PrimeField, Rationals
-from detequiv.kernels import Gauge, Kernel
+from detequiv.kernels import Cycle, Gauge, Kernel, cycle_product
 
 Q = Rationals()
 F7 = PrimeField(7)
@@ -240,6 +243,114 @@ def test_low_order_closed_form_matches_determinants():
     # forward + reversed sum (not the forward product alone) lets through
     assert {1, 2, 3} <= first_orders
     assert flips_passed > 0
+
+
+# ------------------------------------- integer rows, order 4 by closed form
+
+
+_WIDE_FIELDS = _DIFF_FIELDS[:4] + (PrimeField(1000003), Q)
+
+
+def _wide_value(rng, field, unit=False):
+    """A random value; over Q with mixed signs and denominators up to 10^6."""
+    while True:
+        if field.kind == "prime":
+            v = rng.randrange(field.p)
+        else:
+            v = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+        if v or not unit:
+            return v
+
+
+def _wide_kernel(rng, field, n, zero_share):
+    return Kernel(field, [str(i + 1) for i in range(n)],
+                  [[field.zero if rng.random() < zero_share
+                    else _wide_value(rng, field) for _ in range(n)]
+                   for _ in range(n)])
+
+
+def _wide_partner(rng, k, kind):
+    """A partner for k that agrees with it, or first differs at orders 1-5."""
+    field, n = k.field, k.n
+    rows = [list(r) for r in k.rows]
+    if kind == "near_symmetric" and n >= 4:
+        # symmetric but for two disjoint pairs; swapping one of them keeps
+        # every minor up to order 3 and moves the 4-cycle sum on all four
+        a, b, c, d = rng.sample(range(n), 4)
+        for i, j in itertools.combinations(range(n), 2):
+            rows[j][i] = rows[i][j]
+        rows[b][a] = _wide_value(rng, field)
+        rows[d][c] = _wide_value(rng, field)
+        k = Kernel(field, k.labels, rows)   # copies rows
+        rows[a][b], rows[b][a] = rows[b][a], rows[a][b]
+    elif kind == "ring" and n >= 3:
+        # off the diagonal the ring's points meet only a directed cycle
+        # through them all, so a change to one ring edge first shows in the
+        # minor on the whole ring, of order min(n, 5)
+        ring = rng.sample(range(n), min(n, 5))
+        for i in ring:
+            for j in range(n):
+                if j != i:
+                    rows[i][j] = rows[j][i] = field.zero
+        for i, j in zip(ring, ring[1:] + ring[:1]):
+            rows[i][j] = _wide_value(rng, field, unit=True)
+        k = Kernel(field, k.labels, rows)
+        i, j = ring[0], ring[1]
+        rows[i][j] = field.add(rows[i][j], field.one)
+    else:
+        rows = [list(r) for r in _variant(rng, k, kind).rows]
+    gauge = Gauge(field, k.labels,
+                  [_wide_value(rng, field, unit=True) for _ in range(n)])
+    return k, Kernel(field, k.labels, rows).conjugate(gauge)
+
+
+def _field_prechecks(k, q):
+    f = k.field
+    out = [PrecheckFailure("diagonal", (i,), k.rows[i][i], q.rows[i][i])
+           for i in range(k.n) if k.rows[i][i] != q.rows[i][i]]
+    for i, j in itertools.combinations(range(k.n), 2):
+        kp = f.mul(k.rows[i][j], k.rows[j][i])
+        qp = f.mul(q.rows[i][j], q.rows[j][i])
+        if kp != qp:
+            out.append(PrecheckFailure("pair", (i, j), kp, qp))
+    return PrecheckReport(tuple(out))
+
+
+def _field_trace_audit(k, q):
+    f = k.field
+    out = []
+    for a, b, c in itertools.combinations(range(k.n), 3):
+        forward, reverse = Cycle((a, b, c)), Cycle((a, c, b))
+        ks = f.add(cycle_product(k, forward), cycle_product(k, reverse))
+        qs = f.add(cycle_product(q, forward), cycle_product(q, reverse))
+        if ks != qs:
+            out += [TraceViolation(forward, ks, qs),
+                    TraceViolation(reverse, ks, qs)]
+    return tuple(sorted(out, key=lambda v: v.cycle.vertices))
+
+
+def test_integer_row_scan_matches_determinants():
+    # whole reports against a principal_minor loop in field values; the Q
+    # partners are conjugated by gauges with wide denominators, so their
+    # rows scale by other factors than k's do
+    rng = random.Random(407)
+    first_orders = set()
+    for field in _WIDE_FIELDS:
+        for n in range(1, 8):
+            for zero_share in (0.0, 0.3, 0.6):
+                for kind in ("gauge", "flip", "diagonal", "entry", "swap",
+                             "near_symmetric", "ring"):
+                    k, q = _wide_partner(
+                        rng, _wide_kernel(rng, field, n, zero_share), kind)
+                    reports = _reference_reports(k, q)
+                    for cap, want in reports.items():
+                        got = check_equivalence(k, q, max_order=cap)
+                        assert got == want, (field, n, kind, cap)
+                    if not reports[n].equivalent:
+                        first_orders.add(len(reports[n].witness_subset))
+                    assert quick_consequences(k, q) == _field_prechecks(k, q)
+                    assert trace_identity_audit(k, q) == _field_trace_audit(k, q)
+    assert {1, 2, 3, 4, 5} <= first_orders
 
 
 # -------------------------------------------------------------- prechecks
