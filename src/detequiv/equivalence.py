@@ -9,10 +9,36 @@ pair products k_ij k_ji differ.  With every order-1 and order-2 minor on
 term of det{a,b,c,d} that is not a 4-cycle (the diagonal, a 2-cycle with two
 fixed points, a 3-cycle with one, two 2-cycles) is fixed by those minors,
 so det{a,b,c,d} differs exactly when the sum of its six oriented 4-cycle
-products differs.  From order 5 on, the scan compares determinants.
+products differs.
+
+From order 5 on, one depth-first walk over subsets yields the minors of
+both kernels.  A node S carries det(S) and its bordered minors
+B_S[i][j] = det(A[S+i, S+j]) for i, j > max S, so the minor of the child
+S+j is B_S[j][j].  The child S+s gets its own from Sylvester's identity,
+
+    B_{S+s}[i][j] = (B_S[s][s] B_S[i][j] - B_S[i][s] B_S[s][j]) / det(S),
+
+a division that is exact on integers, as in Bareiss elimination, and one
+modular inverse per node over GF(p).  The identity needs det(S) != 0.
+Below a zero pivot the walk goes back to T, the deepest node above with a
+nonzero minor, and uses the identity in its general form: with U the
+points added since T, det(B_T[U+i, U+j]) = det(T)^|U| B_{S+s}[i][j], one
+small determinant, eliminated outright, per entry.  A node with a zero
+minor, or with no child to visit, needs only the diagonal of its bordered
+minors.
+
+The walk visits children in increasing order of their new element, so it
+meets the subsets of each order in lexicographic order (a preorder of the
+subset tree, restricted to one order, is lexicographic), and the first
+differing subset of an order is the least of that order.  After a hit the
+walk compares only smaller orders, and stops descending there, so every
+later hit is at a smaller order and every subset of that order before it
+has been compared: the last hit is the witness.  The walk keeps one path
+of bordered minors, O(n^3) values, and the witness alone.
 
 The scan runs on integer rows (``fields.integer_rows``): over GF(p) the
-values as they are, with each comparison reduced once mod p; over Q each
+values as they are, with each closed-form comparison reduced once mod p
+and the walk's values kept reduced; over Q each
 row i of both kernels scaled by one shared D_i.  Every term takes one entry
 from each row, so each term, and each minor, on a subset S is scaled by the
 same product of D_i over S on both sides, and a difference survives the
@@ -22,7 +48,6 @@ in field values.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -62,7 +87,7 @@ def quick_consequences(k, q):
     kind = (None, "diagonal", "pair")
     return PrecheckReport(tuple(
         PrecheckFailure(kind[len(s)], s, _field_term(k, s), _field_term(q, s))
-        for s in _drift(k, q, (1, 2))))
+        for s in _drift(k.field, *_integer_pair(k, q), (1, 2))))
 
 
 @dataclass(frozen=True)
@@ -93,45 +118,154 @@ def _scan_cap(n, max_order):
 def check_equivalence(k, q, max_order=None):
     """Compare principal minors on every subset of size 1..max_order.
 
-    max_order defaults to n (the full check).  Subsets are scanned by
-    cardinality and then lexicographically, so a negative verdict carries the
-    smallest failing subset and, among those, the lexicographically least.
-    Orders 1-4 are compared by closed form (module docstring), which is exact
-    because the scan reaches an order only after every smaller subset has
-    agreed; a determinant is computed at the witness and from order 5 on.
+    max_order defaults to n (the full check).  A negative verdict carries
+    the smallest failing subset and, among those, the lexicographically
+    least.  Orders 1-4 are compared by closed form, in order of cardinality
+    and then lexicographically, which is exact because the scan reaches an
+    order only after every smaller subset has agreed.  Orders 5 and up come
+    from one walk of bordered minors, updated by Sylvester's identity and
+    eliminated afresh below a zero pivot; its preorder meets each order's
+    subsets lexicographically (module docstring).  The witness minors are
+    computed in field values.
     """
     require_same_points(k, q)
     cap = _scan_cap(k.n, max_order)
-    witness = next(_drift(k, q, range(1, cap + 1)), None)
+    kr, qr = _integer_pair(k, q)
+    witness = next(_drift(k.field, kr, qr, range(1, min(cap, 4) + 1)), None)
+    if witness is None and cap >= 5:
+        witness = _walk(k.field, kr, qr, cap)
     if witness is None:
         return EquivalenceReport(True, cap)
     return EquivalenceReport(False, cap, witness, k.principal_minor(witness),
                              q.principal_minor(witness))
 
 
-def _drift(k, q, orders):
-    """Yield each subset of the given orders, in scan order, whose term differs.
+def _integer_pair(k, q):
+    """Both kernels as integer rows (fields.integer_rows)."""
+    return integer_rows(k.field, k.rows, q.rows)[0]
 
-    The term is the closed form of _CYCLE_TERMS up to order 4 and the
-    determinant from order 5 on; both kernels go to integer rows once.
-    """
-    field = k.field
-    (kr, qr), _ = integer_rows(field, k.rows, q.rows)
-    if field.kind == "prime":
-        p = field.p
-        differ = p.__rmod__             # d -> d % p
-        det = functools.partial(_det_prime, p=p)
-    else:
-        differ, det = bool, _det_int_bareiss
 
-    def minor(rows, s):
-        return det([[rows[i][j] for j in s] for i in s])
-
+def _drift(field, kr, qr, orders):
+    """Yield each subset of the given orders (1-4) of the integer rows, in
+    scan order, whose closed-form term differs."""
+    differ = field.p.__rmod__ if field.kind == "prime" else bool
     for order in orders:
-        term = _CYCLE_TERMS[order] if order < len(_CYCLE_TERMS) else minor
-        for s in itertools.combinations(range(k.n), order):
+        term = _CYCLE_TERMS[order]
+        for s in itertools.combinations(range(len(kr)), order):
             if differ(term(kr, s) - term(qr, s)):
                 yield s
+
+
+def _walk(field, kr, qr, cap):
+    """The smallest, lex-least subset of order 5..cap whose minor differs.
+
+    kr and qr are integer rows whose minors up to order 4 agree.  Returns
+    None when every minor up to the cap agrees.
+    """
+    n = len(kr)
+    path = []           # the subset S at the current node, increasing
+    best = None
+    limit = cap         # the highest order still worth comparing
+    # update(b, u, d, full): from the bordered minors b and the minor d of a
+    # node, those of its child that adds the point at index u of b, by
+    # Sylvester's identity.  eliminator(d, e): a determinant of bordered
+    # minors divided by d^e, the minor of their node to the e.
+    if field.kind == "prime":
+        p = field.p
+
+        def update(b, u, d, full):
+            inv = pow(d, -1, p)
+            top = b[u]
+            pivot = top[u] * inv % p
+            if not full:
+                return [(pivot * row[j] - row[u] * inv * top[j]) % p
+                        for j, row in enumerate(b[u + 1:], u + 1)]
+            tail = top[u + 1:]
+            out = []
+            for row in b[u + 1:]:
+                head = row[u] * inv % p
+                out.append([(pivot * x - head * y) % p
+                            for x, y in zip(row[u + 1:], tail)])
+            return out
+
+        def eliminator(d, e):
+            scale = pow(d, -e, p)
+            return lambda m: _det_prime(m, p) * scale % p
+    else:
+        def update(b, u, d, full):
+            top = b[u]
+            pivot = top[u]
+            if not full:
+                return [(pivot * row[j] - row[u] * top[j]) // d
+                        for j, row in enumerate(b[u + 1:], u + 1)]
+            tail = top[u + 1:]
+            return [[(pivot * x - row[u] * y) // d
+                     for x, y in zip(row[u + 1:], tail)]
+                    for row in b[u + 1:]]
+
+        def eliminator(d, e):
+            scale = d ** e
+            return lambda m: _det_int_bareiss(m) // scale
+
+    def step(anchor, d):
+        # path has just gained its last element, and d is its minor.  The
+        # anchor is the deepest node T before it on the path with a nonzero
+        # minor, and b its bordered minors over base..n-1.  Returns the
+        # minors of path + j for j > max path, and the anchor below path.
+        # Only the diagonal is computed where no child of path is visited,
+        # and where d = 0, which anchors nothing.
+        size, ad, b, base = anchor
+        full = d != 0 and path[-1] < n - 2 and len(path) + 2 <= limit
+        if size == len(path) - 1:
+            out = update(b, path[-1] - base, ad, full)
+        else:
+            out = _border_dets(b, base, path[size:], full,
+                               eliminator(ad, len(path) - size))
+        if not full:
+            return out, anchor
+        return ([row[j] for j, row in enumerate(out)],
+                (len(path), d, out, path[-1] + 1))
+
+    def visit(first, ck, ak, cq, aq):
+        # S = path; ck, cq are the minors of S + j for j in first..n-1
+        nonlocal best, limit
+        size = len(path)
+        if size >= 4:
+            for u in range(n - first):
+                if ck[u] != cq[u]:
+                    best = (*path, first + u)
+                    limit = size
+                    return
+        for u in range(n - first - 1):
+            if size + 2 > limit:
+                return
+            path.append(first + u)
+            visit(first + u + 1, *step(ak, ck[u]), *step(aq, cq[u]))
+            path.pop()
+
+    visit(0, [r[i] for i, r in enumerate(kr)], (0, 1, kr, 0),
+          [r[i] for i, r in enumerate(qr)], (0, 1, qr, 0))
+    return best
+
+
+def _border_dets(b, base, extra, full, det):
+    """det(b[extra + i, extra + j]) for i, j > max extra, where b is
+    indexed from base; only i = j unless full.
+
+    When b holds the bordered minors of T, Sylvester's identity makes each
+    of these det(T)^|extra| times a bordered minor of T + extra.
+    """
+    u = [x - base for x in extra]
+    top = [[b[x][y] for y in u] for x in u]
+
+    def minor(i, j):
+        return det([*([*r, b[x][j]] for r, x in zip(top, u)),
+                    [*(b[i][y] for y in u), b[i][j]]])
+
+    rest = range(u[-1] + 1, len(b))
+    if not full:
+        return [minor(i, i) for i in rest]
+    return [[minor(i, j) for j in rest] for i in rest]
 
 
 def _diagonal(rows, s):
@@ -188,7 +322,7 @@ def trace_identity_audit(k, q):
     """
     require_same_points(k, q)
     violations = []
-    for a, b, c in _drift(k, q, (3,)):
+    for a, b, c in _drift(k.field, *_integer_pair(k, q), (3,)):
         ks, qs = _field_term(k, (a, b, c)), _field_term(q, (a, b, c))
         violations.append(TraceViolation(Cycle((a, b, c)), ks, qs))
         violations.append(TraceViolation(Cycle((a, c, b)), ks, qs))

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from detequiv import equivalence
 from detequiv.equivalence import (
     EquivalenceReport,
     PrecheckFailure,
@@ -351,6 +352,130 @@ def test_integer_row_scan_matches_determinants():
                     assert quick_consequences(k, q) == _field_prechecks(k, q)
                     assert trace_identity_audit(k, q) == _field_trace_audit(k, q)
     assert {1, 2, 3, 4, 5} <= first_orders
+
+
+# -------------------------------- orders 5 and up by a walk of bordered minors
+
+
+_WALK_FIELDS = (PrimeField(2), PrimeField(3), PrimeField(101),
+                PrimeField(1000003), Q)
+
+
+def _repeated_row_kernel(rng, field, n):
+    """A wide kernel whose row j copies row i, so every minor on a subset
+    holding both is zero."""
+    k = _wide_kernel(rng, field, n, 0.0)
+    rows = [list(r) for r in k.rows]
+    i, j = rng.sample(range(n), 2)
+    rows[j] = list(rows[i])
+    return Kernel(field, k.labels, rows)
+
+
+def _ring_pair(rng, k, length, fan):
+    """k's diagonal with a directed ring of `length` points on it, and a
+    partner that changes the ring's last edge, conjugated by a wide gauge.
+    Off the diagonal the ring's points meet only the ring, so the minors
+    first differ on the ring.  With fan, a second ring closes the same
+    path through another last point, with its last edge changed too, so
+    two subsets of that order differ."""
+    field, n = k.field, k.n
+    rows = [[k.rows[i][j] if i == j else field.zero for j in range(n)]
+            for i in range(n)]
+    ring = rng.sample(range(n), length + fan)
+    last, ends = ring[length - 2], ring[length - 1:]
+    for i, j in zip(ring, ring[1:length - 1]):
+        rows[i][j] = _wide_value(rng, field, unit=True)
+    for end in ends:
+        rows[last][end] = _wide_value(rng, field, unit=True)
+        rows[end][ring[0]] = _wide_value(rng, field, unit=True)
+    base = Kernel(field, k.labels, rows)
+    for end in ends:
+        rows[last][end] = field.add(rows[last][end], field.one)
+    gauge = Gauge(field, k.labels,
+                  [_wide_value(rng, field, unit=True) for _ in range(n)])
+    return base, Kernel(field, k.labels, rows).conjugate(gauge)
+
+
+def _walk_pairs(rng, field, n):
+    """Kernels with and without zero pivots, each with two partners whose
+    minors all agree and ring partners that first differ at orders 5..n."""
+    kernels = [_wide_kernel(rng, field, n, share) for share in (0.0, 0.3, 0.6)]
+    kernels.append(_repeated_row_kernel(rng, field, n))
+    for k in kernels:
+        for flip in (False, True):
+            base = k.transpose() if flip else k
+            yield k, base.conjugate(Gauge(
+                field, k.labels,
+                [_wide_value(rng, field, unit=True) for _ in range(n)]))
+        for length in range(5, n + 1):
+            yield _ring_pair(rng, k, length, length < n and rng.random() < 0.5)
+
+
+def test_bordered_walk_matches_determinants(monkeypatch):
+    # whole reports, for every cap, against a principal_minor loop; the
+    # fallback below a zero pivot must run over both kinds of field
+    eliminated = set()
+
+    def counted(name):
+        det = getattr(equivalence, name)
+
+        def wrapper(*args, **kwargs):
+            eliminated.add(name)
+            return det(*args, **kwargs)
+        monkeypatch.setattr(equivalence, name, wrapper)
+
+    counted("_det_prime")
+    counted("_det_int_bareiss")
+    rng = random.Random(408)
+    first_orders = set()
+    twins = set()   # whether two first differences >= 5 share a parent
+    for field in _WALK_FIELDS:
+        for n in range(5, 9):
+            for k, q in _walk_pairs(rng, field, n):
+                reports = _reference_reports(k, q)
+                for cap, want in reports.items():
+                    got = check_equivalence(k, q, max_order=cap)
+                    assert got == want, (field, n, cap, k.rows, q.rows)
+                if reports[n].equivalent:
+                    continue
+                order = len(reports[n].witness_subset)
+                first_orders.add(order)
+                hits = [s for s in itertools.combinations(range(n), order)
+                        if k.principal_minor(s) != q.principal_minor(s)]
+                if order >= 5 and len(hits) > 1:
+                    twins.add(hits[0][:-1] == hits[1][:-1])
+    assert {5, 6, 7, 8} <= first_orders
+    assert twins == {False, True}
+    assert eliminated == {"_det_prime", "_det_int_bareiss"}
+
+
+def test_full_scan_at_sixteen_points():
+    # a dense block on ten points and a directed 6-ring on the other six;
+    # a flipped gauge conjugate passes the full scan, and a change to one
+    # ring edge first shows on the ring
+    field = PrimeField(1000003)
+    rng = random.Random(409)
+    n = 16
+    ring = rng.sample(range(n), 6)
+    rows = [[field.zero] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if i == j or (i not in ring and j not in ring):
+                rows[i][j] = _wide_value(rng, field, unit=True)
+    for i, j in zip(ring, ring[1:] + ring[:1]):
+        rows[i][j] = _wide_value(rng, field, unit=True)
+    labels = [str(i + 1) for i in range(n)]
+    k = Kernel(field, labels, rows)
+    gauge = Gauge(field, labels,
+                  [_wide_value(rng, field, unit=True) for _ in range(n)])
+    assert check_equivalence(k, k.transpose().conjugate(gauge)).equivalent
+    rows[ring[0]][ring[1]] = field.add(rows[ring[0]][ring[1]], field.one)
+    q = Kernel(field, labels, rows).transpose().conjugate(gauge)
+    rep = check_equivalence(k, q)
+    assert rep.witness_subset == tuple(sorted(ring))
+    assert rep.witness_minor_k == k.principal_minor(rep.witness_subset)
+    assert rep.witness_minor_q == q.principal_minor(rep.witness_subset)
+    assert rep.witness_minor_k != rep.witness_minor_q
 
 
 # -------------------------------------------------------------- prechecks
