@@ -170,7 +170,7 @@ def _cmd_recover(args):
     k, q = _load_pair(args)
     f = k.field
     try:
-        result = recover(k, q, max_order=args.max_order)
+        result = recover(k, q)
     except NotEquivalent as exc:
         doc = {"error": "not_equivalent",
                "witness": {"subset": _labels(k, exc.subset),
@@ -186,13 +186,6 @@ def _cmd_recover(args):
         _emit(args, doc)
         print(f"the {exc.kernel_role} kernel is degenerate at "
               f"{_labels(k, exc.witness)}; recovery not attempted")
-        return NEGATIVE
-    except MixedCases as exc:
-        doc = {"error": "mixed_frameworks",
-               "direct_cycle": _labels(k, exc.direct_cycle.vertices),
-               "flipped_cycle": _labels(k, exc.flipped_cycle.vertices)}
-        _emit(args, doc)
-        print(f"frameworks mixed: {exc}")
         return NEGATIVE
     except NotRecoverable as exc:
         doc = {"error": "not_recoverable"}
@@ -298,10 +291,8 @@ def _build_parser():
     add("classify", _cmd_classify,
         "label every 3-cycle by how the two kernels' products match", pair=True)
 
-    p = add("recover", _cmd_recover,
-            "recover and verify the diagonal transform", pair=True)
-    p.add_argument("--max-order", type=int, default=None,
-                   help="cap the equivalence check order (default: full)")
+    add("recover", _cmd_recover,
+        "recover and verify the diagonal transform", pair=True)
 
     p = add("gen", _cmd_gen, "generate a seeded instance with known truth")
     p.add_argument("--field", required=True, help="'rational' or 'prime:P'")

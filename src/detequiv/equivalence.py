@@ -99,40 +99,34 @@ class EquivalenceReport:
     witness_minor_q: object = None
 
 
-def _scan_cap(n, max_order):
-    """The highest order a minor scan reaches, after validating max_order.
-
-    max_order defaults to n.  Raises ValueError for a cap outside [1, n]
-    and, up front, for a scan over more than _SCAN_GUARD subsets.
-    """
-    cap = n if max_order is None else max_order
-    if not 1 <= cap <= n:
-        raise ValueError(f"max_order must lie in [1, {n}], got {max_order}")
-    subsets = sum(math.comb(n, r) for r in range(1, cap + 1))
-    if subsets > _SCAN_GUARD:
-        raise ValueError(f"minor scan needs {subsets} subsets, over the "
-                         f"{_SCAN_GUARD} guard; lower max_order")
-    return cap
-
-
 def check_equivalence(k, q, max_order=None):
     """Compare principal minors on every subset of size 1..max_order.
 
-    max_order defaults to n (the full check).  A negative verdict carries
-    the smallest failing subset and, among those, the lexicographically
-    least.  Orders 1-4 are compared by closed form, in order of cardinality
-    and then lexicographically, which is exact because the scan reaches an
-    order only after every smaller subset has agreed.  Orders 5 and up come
-    from one walk of bordered minors, updated by Sylvester's identity and
-    eliminated afresh below a zero pivot; its preorder meets each order's
-    subsets lexicographically (module docstring).  The witness minors are
+    max_order defaults to n (the full check); a cap outside [1, n] raises
+    ValueError.  A negative verdict carries the smallest failing subset
+    and, among those, the lexicographically least.  Orders 1-4 are compared
+    by closed form, in order of cardinality and then lexicographically,
+    which is exact because the scan reaches an order only after every
+    smaller subset has agreed.  Orders 5 and up come from one walk of
+    bordered minors, updated by Sylvester's identity and eliminated afresh
+    below a zero pivot; its preorder meets each order's subsets
+    lexicographically (module docstring).  The walk is refused with
+    ValueError when it would cover more than _SCAN_GUARD subsets, so a
+    refutation up to order 4 answers at any n.  The witness minors are
     computed in field values.
     """
     require_same_points(k, q)
-    cap = _scan_cap(k.n, max_order)
+    n = k.n
+    cap = n if max_order is None else max_order
+    if not 1 <= cap <= n:
+        raise ValueError(f"max_order must lie in [1, {n}], got {max_order}")
     kr, qr = _integer_pair(k, q)
     witness = next(_drift(k.field, kr, qr, range(1, min(cap, 4) + 1)), None)
     if witness is None and cap >= 5:
+        subsets = sum(math.comb(n, r) for r in range(1, cap + 1))
+        if subsets > _SCAN_GUARD:
+            raise ValueError(f"minor scan needs {subsets} subsets, over the "
+                             f"{_SCAN_GUARD} guard; lower max_order")
         witness = _walk(k.field, kr, qr, cap)
     if witness is None:
         return EquivalenceReport(True, cap)

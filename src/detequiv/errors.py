@@ -90,9 +90,10 @@ class NotRecoverable(DetEquivError):
 
 
 class VerificationFailed(DetEquivError):
-    """The final re-check of a recovered transform failed.
+    """The final re-check of a recovered transform failed, or no transform
+    fits two kernels that the rigidity theorem says are related.
 
-    Indicates an internal bug or an unsound order cap, never bad input.
+    Indicates an internal bug, never bad input.
     """
 
     def __init__(self, message, *, detail=None):

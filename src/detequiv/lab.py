@@ -122,23 +122,9 @@ def perturb(k, q, seed):
         rows = [list(row) for row in q.rows]
         rows[i][j] = value
         candidate = Kernel(f, k.labels, rows)
-        if i == j:
-            return candidate  # an order-1 minor moved
-        if _low_order_minor_moved(q, candidate, i, j):
+        if not check_equivalence(q, candidate, max_order=min(3, n)).equivalent:
             return candidate
     raise RuntimeError("could not find a perturbation; this should not happen")
-
-
-def _low_order_minor_moved(q, candidate, i, j):
-    if candidate.principal_minor((i, j)) != q.principal_minor((i, j)):
-        return True
-    for m in range(q.n):
-        if m == i or m == j:
-            continue
-        subset = tuple(sorted((i, j, m)))
-        if candidate.principal_minor(subset) != q.principal_minor(subset):
-            return True
-    return False
 
 
 @dataclass(frozen=True)

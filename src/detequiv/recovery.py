@@ -11,8 +11,13 @@ and the flipped case runs it on the transpose.
 a returned certificate is self-verifying: gauge and flip preserve every
 principal minor, so the minors above order three are compared only to
 refute a pair that no certificate fits.  A failure is a precise verdict:
-not equivalent, degenerate, mixed frameworks, or (for n <= 3, where the
-rigidity argument has no room to work) possibly just not recoverable.
+not equivalent, degenerate, or (for n <= 3, where the rigidity argument has
+no room to work) possibly just not recoverable.  From n = 4 on there is no
+fourth verdict: two kernels that both have property D, zeros allowed, and
+agree on every principal minor are gauge conjugates, directly or after a
+flip (the rigidity theorem; in the finite case a version of Loewy, LAA 78,
+1986).  So once the full minor scan and the nondegeneracy scan both pass,
+two failed solves are an internal fault.
 """
 
 from __future__ import annotations
@@ -20,8 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .classd import check_class_d
-from .classify import CaseLabel, CaseTable, GlobalCase, global_case
-from .equivalence import _scan_cap, check_equivalence
+from .classify import GlobalCase
+from .equivalence import check_equivalence
 from .errors import (
     BranchUnavailable,
     ClassDViolation,
@@ -207,78 +212,53 @@ class RecoveryResult:
         }
 
 
-def recover(k, q, max_order=None):
+def recover(k, q):
     """Decide equivalence and produce the transform carrying k onto q.
 
-    Pipeline: the minor comparison up to order three (never capped below
-    order two), then a gauge solve and an entrywise re-check, first on k
-    and then on kᵀ.  From n = 4 on the solve is the ratio table, the
-    cocycle laws and gauge extraction at the smallest label; below that the
-    gauge is propagated along nonzero entries.  The first certificate that
-    passes is returned once both kernels pass the nondegeneracy scan (from
-    n = 4 on): gauge and flip preserve every principal minor, so it proves
-    full equivalence without a scan above order three.  Only two failed
-    solves pay for the rest of the scan, up to max_order (n by default),
-    whose witness still comes before any other verdict; then come the
-    nondegeneracy scan and, below n = 4 or after a capped scan, the verdict
-    on the failure.
+    Pipeline: the minor comparison up to order three, then a gauge solve and
+    an entrywise re-check, first on k and then on kᵀ.  From n = 4 on the
+    solve is the ratio table, the cocycle laws and gauge extraction at the
+    smallest label; below that the gauge is propagated along nonzero
+    entries.  The first certificate that passes is returned once both
+    kernels pass the nondegeneracy scan (from n = 4 on): gauge and flip
+    preserve every principal minor, so it proves full equivalence without a
+    scan above order three.  Only two failed solves pay for the rest of the
+    scan, whose witness still comes before any other verdict; then comes
+    the nondegeneracy scan.  From n = 4 on a pair that passes both scans
+    would contradict the rigidity theorem (module docstring).
 
-    Raises NotEquivalent, ClassDViolation, MixedCases or NotRecoverable for
-    negative verdicts, VerificationFailed if the certificate fails its own
-    re-check (internal bug or an unsound max_order cap).
+    Raises NotEquivalent, ClassDViolation or NotRecoverable for negative
+    verdicts, VerificationFailed for an internal fault: a certificate that
+    fails its own re-check, or such a contradiction.
     """
     require_same_points(k, q)
     n = k.n
-
-    # a cap still covers order 2, where diagonals and pair products live
-    if max_order == 1:
-        max_order = min(2, n)
-    cap = _scan_cap(n, max_order)
-    _refute(check_equivalence(k, q, max_order=min(cap, 3)))
+    _refute(check_equivalence(k, q, max_order=min(n, 3)))
 
     base = min(range(n), key=lambda i: k.labels[i])
     solve = _propagate_gauge if n <= 3 else _cocycle_gauge
-    failures = []
     for transposed in (False, True):
         target = k.transpose() if transposed else k
         try:
             gauge = solve(target, q, base)
             _recheck(target, q, gauge)
-        except (VerificationFailed, BranchUnavailable) as exc:
-            failures.append(exc)
+        except (VerificationFailed, BranchUnavailable):
             continue
         _require_class_d(k, q)
         return RecoveryResult(transposed=transposed, gauge=gauge,
                               base_label=k.labels[base])
 
-    if cap > 3:
-        _refute(check_equivalence(k, q, max_order=cap))
-    _require_class_d(k, q)
     if n <= 3:
         # equivalent pairs with no transform exist below four points
         raise NotRecoverable(
             "kernels agree on all principal minors but no diagonal change of "
             "variables relates them, flipped or not")
-    # only a capped scan gets here; the case table says why both failed
-    table = CaseTable.build(k, q)
-    bad = table.neither_rows()
-    if bad:
-        row = bad[0]
-        f = k.field
-        raise NotEquivalent(
-            f"cycle products around {row.cycle!r} match neither directly nor "
-            "flipped, which no equivalent pair allows",
-            subset=tuple(sorted(row.cycle.vertices)),
-            detail={
-                "cycle": row.cycle.vertices,
-                "k_forward": f.format(row.k_forward),
-                "k_reversed": f.format(row.k_reversed),
-                "q_forward": f.format(row.q_forward),
-                "q_reversed": f.format(row.q_reversed),
-            })
-    global_case(table)  # raises MixedCases when the labels mix
-    direct = any(r.label is CaseLabel.CASE1_ONLY for r in table.rows)
-    raise failures[0 if direct else 1]
+    _refute(check_equivalence(k, q))
+    _require_class_d(k, q)
+    raise VerificationFailed(
+        "both kernels have property D and agree on every principal minor, "
+        "but neither certificate re-checks; this contradicts the rigidity "
+        "theorem and signals a bug")
 
 
 def _refute(rep):

@@ -9,9 +9,11 @@ import pytest
 from fractions import Fraction
 
 from detequiv.cli import main
+from detequiv.errors import BranchUnavailable, VerificationFailed
 from detequiv.kernels import Gauge, Kernel
 from detequiv.fields import PrimeField, Rationals
 from detequiv.lab import InstanceSpec, gen_instance
+from detequiv.recovery import recover
 
 Q = Rationals()
 F7 = PrimeField(7)
@@ -236,6 +238,23 @@ def test_internal_faults_exit_three(tmp_path, monkeypatch):
     assert main(["perturb", "--k", kp, "--q", qp]) == 3
 
 
+def test_rigidity_contradiction_exits_three(tmp_path, monkeypatch, capsys):
+    # both kernels have property D and agree on every minor, so only a
+    # faulty solver can leave both certificates failing
+    kp, qp, k, q, _ = _gen_pair_files(tmp_path)
+
+    def fail(target, q, base):
+        raise BranchUnavailable("this signals a bug", pair=(0, 1))
+
+    monkeypatch.setattr("detequiv.recovery._cocycle_gauge", fail)
+    with pytest.raises(VerificationFailed, match="rigidity theorem"):
+        recover(k, q)
+    out = tmp_path / "report.json"
+    assert main(["recover", "--k", kp, "--q", qp, "--out", str(out)]) == 3
+    assert json.loads(out.read_text())["error"] == "verification_failed"
+    assert "rigidity theorem" in capsys.readouterr().err
+
+
 def test_deeply_nested_json_exits_two(tmp_path, capsys):
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100000 + "]" * 100000)
@@ -252,6 +271,29 @@ def test_oversized_minor_scan_exits_two(tmp_path, capsys):
     assert main(["recover", "--k", kp, "--q", kp]) == 2
     assert "2097151 subsets" in capsys.readouterr().err
     assert main(["check-equiv", "--k", kp, "--q", kp, "--max-order", "3"]) == 0
+
+
+def test_check_equiv_refutes_at_low_order_past_the_scan_guard(tmp_path):
+    # a full scan at n = 21 is over the guard, but a pair that differs at
+    # order 2 is refuted before the walk that the guard bounds
+    n = 21
+    labels = [str(i) for i in range(n)]
+    rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    rows[0][1] = rows[1][0] = 1
+    kp = _write_doc(tmp_path / "k.json", Kernel(Q, labels, rows).to_doc())
+    rows[0][1] = 2
+    qp = _write_doc(tmp_path / "q.json", Kernel(Q, labels, rows).to_doc())
+    out = tmp_path / "report.json"
+    assert main(["check-equiv", "--k", kp, "--q", qp, "--out", str(out)]) == 1
+    assert json.loads(out.read_text())["witness"] == {
+        "subset": ["0", "1"], "minor_k": "0", "minor_q": "-1"}
+
+
+def test_recover_max_order_flag_is_gone(tmp_path):
+    kp, qp, _, _, _ = _gen_pair_files(tmp_path)
+    with pytest.raises(SystemExit) as info:
+        main(["recover", "--k", kp, "--q", qp, "--max-order", "3"])
+    assert info.value.code == 2
 
 
 def test_audit_consistency_flag_is_gone(tmp_path):

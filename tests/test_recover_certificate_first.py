@@ -92,7 +92,7 @@ def test_degenerate_positive_refused_without_a_high_minor(minor_orders, n, flip)
     assert minor_orders == []
 
 
-def _swapped_pair(seed, degenerate):
+def _swapped_pair(seed, degenerate, n=6):
     """A near-symmetric kernel and a conjugate of it with one pair swapped.
 
     k is symmetric but for the pairs (4, 5) and (2, 3).  Swapping k(4, 5)
@@ -103,7 +103,6 @@ def _swapped_pair(seed, degenerate):
     orders up to three still match.
     """
     rng = random.Random(seed)
-    n = 6
     rows = [[None] * n for _ in range(n)]
     for i, j in itertools.combinations_with_replacement(range(n), 2):
         rows[i][j] = rows[j][i] = rng.randrange(1, BIG.p)
@@ -136,6 +135,21 @@ def test_minor_witness_still_wins(degenerate):
     assert info.value.detail is None
 
 
+def test_recover_answers_past_the_scan_guard():
+    # at n = 24 a full minor scan would walk over 2^20 subsets; a positive
+    # needs no scan above order 3, and this negative is refuted at order 4
+    k, q, _ = gen_instance(InstanceSpec(field=BIG, n=24, transpose=True,
+                                        zero_edges=1, seed=1))
+    res = recover(k, q)
+    assert res.transposed
+    assert k.transpose().conjugate(res.gauge) == q
+
+    k, q = _swapped_pair(20261018, False, n=24)
+    with pytest.raises(NotEquivalent) as info:
+        recover(k, q)
+    assert info.value.subset == (2, 3, 4, 5)
+
+
 # ------------------------------------- against the order with the scan first
 
 FIELDS = (PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(7), Q)
@@ -161,7 +175,6 @@ def recover_cases(draw):
     zero_share = draw(st.sampled_from((0.0, 0.2, 0.4, 0.6, 0.8)))
     kind = draw(st.sampled_from(("conjugated", "flipped", "swapped", "perturbed",
                                  "random")))
-    cap = draw(st.none() | st.sampled_from((1, 2, 3)))
     rng = draw(st.randoms(use_true_random=False))
     k = _kernel(rng, field, n, zero_share, near_symmetric=kind == "swapped")
     if kind == "random":
@@ -176,7 +189,7 @@ def recover_cases(draw):
                                    [_value(rng, field, True) for _ in range(n)]))
         if kind == "perturbed":
             q = perturb(k, q, rng.randrange(10**6))
-    return k, q, cap if cap is None or cap <= n else None
+    return k, q
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -184,6 +197,6 @@ def recover_cases(draw):
 def test_recover_matches_the_scan_first_order(case):
     # the solves now meet degenerate kernels before the property-D check;
     # anything they raise beyond a verdict would escape _outcome here
-    k, q, cap = case
-    want = _outcome(_table_first_recover, k, q, cap)
-    assert _outcome(recover, k, q, cap) == want
+    k, q = case
+    want = _outcome(_table_first_recover, k, q)
+    assert _outcome(recover, k, q) == want

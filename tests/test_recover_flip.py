@@ -1,9 +1,9 @@
 """How recover picks the flip: the first certificate that passes its re-check.
 
 recover solves on k and then on kᵀ and returns the first certificate that
-re-conjugates onto q; the 3-cycle case table is built only to explain two
-failed solves.  The differential test below pins that to the earlier order,
-in which the case table chose the framework before any solve.
+re-conjugates onto q; it never builds the 3-cycle case table.  The
+differential test below pins that to the earlier order, in which the case
+table chose the framework before any solve.
 """
 
 import itertools
@@ -18,7 +18,6 @@ from detequiv.errors import (
     ClassDViolation,
     DetEquivError,
     GenerationBudgetExceeded,
-    MixedCases,
     NotEquivalent,
     NotRecoverable,
     VerificationFailed,
@@ -65,7 +64,7 @@ def test_positive_recover_never_builds_the_case_table(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a positive recover built the case table")
 
-    monkeypatch.setattr("detequiv.recovery.CaseTable.build", refuse)
+    monkeypatch.setattr("detequiv.classify.CaseTable.build", refuse)
     flips = set()
     for k, q in pairs:
         res = recover(k, q)
@@ -78,7 +77,7 @@ def test_positive_recover_never_builds_the_case_table(monkeypatch):
 # ------------------------------------------------- the table-first reference
 
 
-def _table_first_recover(k, q, max_order):
+def _table_first_recover(k, q):
     """recover as it ran when the case table chose the framework up front.
 
     Labels must sort in index order, so that the base point is index 0 and
@@ -86,9 +85,7 @@ def _table_first_recover(k, q, max_order):
     """
     n = k.n
     f = k.field
-    if max_order == 1:
-        max_order = min(2, n)
-    rep = check_equivalence(k, q, max_order=max_order)
+    rep = check_equivalence(k, q)
     if not rep.equivalent:
         raise NotEquivalent(
             f"kernels disagree on the principal minor at {rep.witness_subset!r}",
@@ -209,9 +206,9 @@ def _case(rng):
     return k, q
 
 
-def _outcome(fn, k, q, cap):
+def _outcome(fn, k, q):
     try:
-        res = fn(k, q, cap)
+        res = fn(k, q)
     except DetEquivError as exc:
         return type(exc), exc.args, vars(exc)
     return res.transposed, res.gauge, res.base_label
@@ -224,7 +221,7 @@ def test_recover_matches_the_table_first_order():
     g = Gauge(F7, k.labels, [1, 2, 3, 4])
     cases.append((k, k.transpose().conjugate(g)))
     # two disjoint doubly-zero pairs leave every cycle BOTH and a free
-    # 4-cycle: both solves fail after a capped scan, the full one refutes
+    # 4-cycle: both solves fail and the scan refutes at order 4
     labels = ["1", "2", "3", "4"]
     cases.append((Kernel(F101, labels, [[25, 61, 0, 26], [8, 66, 13, 0],
                                         [0, 79, 25, 18], [1, 0, 68, 31]]),
@@ -232,18 +229,13 @@ def test_recover_matches_the_table_first_order():
                                         [0, 63, 25, 10], [13, 0, 82, 31]])))
     kinds = set()
     for k, q in cases:
-        for cap in (None, 1, 2, 3):
-            if cap is not None and cap > k.n:
-                continue
-            got = _outcome(recover, k, q, cap)
-            want = _outcome(_table_first_recover, k, q, cap)
-            assert got == want, (k.rows, q.rows, cap)
-            if got[0] is NotEquivalent and got[2]["detail"] is not None:
-                kinds.add("neither")
-            elif isinstance(got[0], bool):
-                kinds.add("flipped" if got[0] else "direct")
-            else:
-                kinds.add(got[0])
+        got = _outcome(recover, k, q)
+        want = _outcome(_table_first_recover, k, q)
+        assert got == want, (k.rows, q.rows)
+        if isinstance(got[0], bool):
+            kinds.add("flipped" if got[0] else "direct")
+        else:
+            kinds.add(got[0])
     # the mix reaches every verdict the reordering could move
-    assert {"direct", "flipped", "neither", NotEquivalent, ClassDViolation,
-            MixedCases, NotRecoverable, VerificationFailed} <= kinds
+    assert {"direct", "flipped", NotEquivalent, ClassDViolation,
+            NotRecoverable} <= kinds

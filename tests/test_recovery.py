@@ -15,7 +15,6 @@ from detequiv.errors import (
     BranchUnavailable,
     ClassDViolation,
     Inconsistent,
-    MixedCases,
     NotEquivalent,
     NotRecoverable,
 )
@@ -325,7 +324,7 @@ def test_recover_refuses_degenerate_inputs():
 
 
 def test_recover_reports_neither_cycles_as_refutation():
-    # agree up to order 2, break a 3-cycle, cap the minor scan below 3
+    # agree up to order 2 and break a 3-cycle: the order-3 minor refutes
     rng = random.Random(457)
     while True:
         k = _nondegenerate_kernel(rng, F101, 4)
@@ -336,15 +335,15 @@ def test_recover_reports_neither_cycles_as_refutation():
         if class_d_ok(F101, q.rows) and CaseTable.build(k, q).neither_rows():
             break
     with pytest.raises(NotEquivalent) as info:
-        recover(k, q, max_order=2)
-    assert len(info.value.subset) == 3
-    assert info.value.detail is not None
+        recover(k, q)
+    assert info.value.subset == (0, 1, 2)
+    assert info.value.detail is None
 
 
 def test_recover_mixed_frameworks():
     # symmetric base except two asymmetric pairs; flipping exactly one of
     # them in q preserves all minors up to order 3 but splits the cycles
-    # between the two frameworks
+    # between the two frameworks, so the order-4 minor refutes
     rng = random.Random(458)
     while True:
         rows = [[0] * 4 for _ in range(4)]
@@ -362,9 +361,9 @@ def test_recover_mixed_frameworks():
             break
     k = Kernel(F101, _labels(4), rows)
     q = Kernel(F101, _labels(4), q_rows)
-    with pytest.raises(MixedCases) as info:
-        recover(k, q, max_order=3)
-    assert info.value.direct_cycle.vertices == (0, 1, 2)
+    with pytest.raises(NotEquivalent) as info:
+        recover(k, q)
+    assert info.value.subset == (0, 1, 2, 3)
 
 
 def test_recover_small_sizes_direct_solve():
@@ -401,26 +400,6 @@ def test_recover_small_not_recoverable():
     assert k.principal_minor((0, 1)) == q.principal_minor((0, 1))
     with pytest.raises(NotRecoverable):
         recover(k, q)
-
-
-def test_recover_propagates_cap_validation():
-    k = Kernel(Q, _labels(2), [[1, 2], [3, 4]])
-    with pytest.raises(ValueError):
-        recover(k, k, max_order=5)
-
-
-def test_recover_cap_still_covers_order_two():
-    # q differs from k only at entry (0, 1): every order-1 minor agrees and
-    # the order-2 minor at (0, 1) does not, so a cap of one must not let
-    # the pipeline go on to refute at a 3-cycle instead
-    rng = random.Random(453)
-    k = _nondegenerate_kernel(rng, F101, 5)
-    rows = [list(r) for r in k.rows]
-    rows[0][1] = rows[0][1] % 100 + 1
-    q = Kernel(F101, k.labels, rows)
-    with pytest.raises(NotEquivalent) as info:
-        recover(k, q, max_order=1)
-    assert info.value.subset == (0, 1)
 
 
 def test_all_both_table_retries_the_flipped_framework():
