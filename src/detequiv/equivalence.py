@@ -126,7 +126,7 @@ def check_equivalence(k, q, max_order=None):
         subsets = sum(math.comb(n, r) for r in range(1, cap + 1))
         if subsets > _SCAN_GUARD:
             raise ValueError(f"minor scan needs {subsets} subsets, over the "
-                             f"{_SCAN_GUARD} guard; lower max_order")
+                             f"{_SCAN_GUARD} guard")
         witness = _walk(k.field, kr, qr, cap)
     if witness is None:
         return EquivalenceReport(True, cap)

@@ -31,7 +31,7 @@ class NotEquivalent(DetEquivError):
 
     ``subset`` holds the failing index set; ``minor_k`` / ``minor_q`` the two
     minor values when the refutation came from a determinant comparison,
-    ``detail`` an optional dict with extra context (e.g. cycle products).
+    ``detail`` an optional dict with extra context.
     """
 
     def __init__(self, message, *, subset, minor_k=None, minor_q=None, detail=None):
@@ -90,8 +90,8 @@ class NotRecoverable(DetEquivError):
 
 
 class VerificationFailed(DetEquivError):
-    """The final re-check of a recovered transform failed, or no transform
-    fits two kernels that the rigidity theorem says are related.
+    """No transform fits two kernels that the rigidity theorem says are
+    related: both have property D and agree on every principal minor.
 
     Indicates an internal bug, never bad input.
     """

@@ -1,23 +1,27 @@
 """Constructive recovery of the diagonal change of variables.
 
-Given two kernels that agree on all principal minors and are both
-nondegenerate, the entrywise ratio table built here is a multiplicative
-cocycle, every cocycle is of the form c(x, y) = g(x)/g(y), and conjugating
-by the gauge g (after an optional flip) carries one kernel onto the other.
-The flip needs no code of its own: Q = g Kᵀ g⁻¹ is the direct framework
-with K replaced by Kᵀ, so every step below is written for the direct case
-and the flipped case runs it on the transpose.
-``recover`` runs that argument as a pipeline with every step re-checked, so
-a returned certificate is self-verifying: gauge and flip preserve every
-principal minor, so the minors above order three are compared only to
-refute a pair that no certificate fits.  A failure is a precise verdict:
-not equivalent, degenerate, or (for n <= 3, where the rigidity argument has
-no room to work) possibly just not recoverable.  From n = 4 on there is no
-fourth verdict: two kernels that both have property D, zeros allowed, and
-agree on every principal minor are gauge conjugates, directly or after a
-flip (the rigidity theorem; in the finite case a version of Loewy, LAA 78,
-1986).  So once the full minor scan and the nondegeneracy scan both pass,
-two failed solves are an internal fault.
+Two kernels are related by the paper's canonical transformations when
+Q = g K g⁻¹ for a nowhere-zero gauge g, directly or after the flip K -> Kᵀ;
+the flipped case is the direct one run on the transpose.  ``recover`` solves
+for g by propagation along nonzero entries and re-checks it entry by entry.
+The solve is complete: with matching zero layouts a gauge is fixed up to one
+constant per connected component of the nonzero pattern.  Gauge and flip
+preserve every principal minor, so a certificate that re-checks proves
+equivalence, and the minors above order three are compared only to refute.
+
+The paper's constructive route, the ratio table with its cocycle laws, is
+kept as the reference the tests compare against: whenever the table passes
+its laws, every pair is joined by a nonzero entry or a 2-path, so
+propagation returns the identical gauge.
+
+A failure is a precise verdict: not equivalent, degenerate, or (for
+n <= 3, where the rigidity argument has no room to work) possibly just not
+recoverable.  From n = 4 on there is no fourth verdict: two kernels that
+both have property D, zeros allowed, and agree on every principal minor
+are gauge conjugates, directly or after a flip (the rigidity theorem; in
+the finite case a version of Loewy, LAA 78, 1986).  So once the full minor
+scan and the nondegeneracy scan both pass, two failed solves are an
+internal fault.
 """
 
 from __future__ import annotations
@@ -215,36 +219,31 @@ class RecoveryResult:
 def recover(k, q):
     """Decide equivalence and produce the transform carrying k onto q.
 
-    Pipeline: the minor comparison up to order three, then a gauge solve and
-    an entrywise re-check, first on k and then on kᵀ.  From n = 4 on the
-    solve is the ratio table, the cocycle laws and gauge extraction at the
-    smallest label; below that the gauge is propagated along nonzero
-    entries.  The first certificate that passes is returned once both
-    kernels pass the nondegeneracy scan (from n = 4 on): gauge and flip
-    preserve every principal minor, so it proves full equivalence without a
-    scan above order three.  Only two failed solves pay for the rest of the
-    scan, whose witness still comes before any other verdict; then comes
-    the nondegeneracy scan.  From n = 4 on a pair that passes both scans
+    Pipeline: the minor comparison up to order three, then the propagated
+    gauge and its entrywise re-check, first on k and then on kᵀ.  The first
+    certificate that passes is returned once k passes the nondegeneracy
+    scan (from n = 4 on); q's verdict is k's, since a gauge scales each
+    cross minor by a unit and the flip maps cross minors to cross minors.
+    Only two failed solves pay for the rest of the minor scan, whose
+    witness comes before any other verdict, and then for the nondegeneracy
+    scan of both kernels.  From n = 4 on a pair that passes both scans
     would contradict the rigidity theorem (module docstring).
 
     Raises NotEquivalent, ClassDViolation or NotRecoverable for negative
-    verdicts, VerificationFailed for an internal fault: a certificate that
-    fails its own re-check, or such a contradiction.
+    verdicts, VerificationFailed for such a contradiction, an internal
+    fault.
     """
     require_same_points(k, q)
     n = k.n
     _refute(check_equivalence(k, q, max_order=min(n, 3)))
 
     base = min(range(n), key=lambda i: k.labels[i])
-    solve = _propagate_gauge if n <= 3 else _cocycle_gauge
     for transposed in (False, True):
         target = k.transpose() if transposed else k
-        try:
-            gauge = solve(target, q, base)
-            _recheck(target, q, gauge)
-        except (VerificationFailed, BranchUnavailable):
+        gauge = _propagate_gauge(target, q, base)
+        if gauge is None or target.conjugate(gauge).rows != q.rows:
             continue
-        _require_class_d(k, q)
+        _require_class_d(k)
         return RecoveryResult(transposed=transposed, gauge=gauge,
                               base_label=k.labels[base])
 
@@ -269,10 +268,10 @@ def _refute(rep):
             minor_q=rep.witness_minor_q)
 
 
-def _require_class_d(k, q):
-    if k.n < 4:
+def _require_class_d(*kernels):
+    if kernels[0].n < 4:
         return
-    for role, kern in (("first", k), ("second", q)):
+    for role, kern in zip(("first", "second"), kernels):
         crep = check_class_d(kern)
         if not crep.holds:
             raise ClassDViolation(
@@ -281,34 +280,21 @@ def _require_class_d(k, q):
                 witness=crep.witness)
 
 
-def _cocycle_gauge(target, q, base):
-    cocycle = build_cocycle_case1(target, q)
-    chk = verify_cocycle(cocycle)
-    if not chk.ok:
-        raise VerificationFailed(
-            f"ratio table violates the {chk.violation.law} law at "
-            f"{chk.violation.points!r}", detail=chk.violation)
-    return extract_gauge(cocycle, base)
-
-
 def _propagate_gauge(target, q, base):
-    """Solve q = g t g^(-1) for n <= 3 by pushing g along nonzero entries.
+    """Solve q = g t g^(-1) by pushing g along nonzero entries.
 
-    Requires matching zero layouts, then fixes g = 1 at the base point and
-    at each later root the base cannot reach, and pushes g across every
-    nonzero entry (in either direction).  A cycle that disagrees is left for
-    the re-check to catch.
+    Returns None unless the zero layouts match; otherwise fixes g = 1 at
+    the base point and at each later root the base cannot reach, and
+    pushes g across every nonzero entry (in either direction).  A cycle
+    that disagrees is left for the re-check to catch.
     """
     field = target.field
     t_rows, q_rows = target.rows, q.rows
     n = len(t_rows)
     zero = field.is_zero
-    for i in range(n):
-        for j in range(n):
-            if zero(t_rows[i][j]) != zero(q_rows[i][j]):
-                raise BranchUnavailable(
-                    f"entry ({q.labels[i]!r}, {q.labels[j]!r}) is zero in only "
-                    "one kernel", pair=(i, j))
+    if any(zero(t_rows[i][j]) != zero(q_rows[i][j])
+           for i in range(n) for j in range(n)):
+        return None
     g = [None] * n
     order = [base] + [i for i in range(n) if i != base]
     for root in order:
@@ -331,12 +317,3 @@ def _propagate_gauge(target, q, base):
                     stack.append(j)
     return Gauge(field, target.labels, g)
 
-
-def _recheck(target, q, gauge):
-    recon = target.conjugate(gauge)
-    if recon.rows != q.rows:
-        i, j = next((i, j) for i in range(q.n) for j in range(q.n)
-                    if recon.rows[i][j] != q.rows[i][j])
-        raise VerificationFailed(
-            f"certificate fails at entry ({q.labels[i]!r}, {q.labels[j]!r})",
-            detail={"entry": (i, j)})

@@ -9,7 +9,7 @@ import pytest
 from fractions import Fraction
 
 from detequiv.cli import main
-from detequiv.errors import BranchUnavailable, VerificationFailed
+from detequiv.errors import VerificationFailed
 from detequiv.kernels import Gauge, Kernel
 from detequiv.fields import PrimeField, Rationals
 from detequiv.lab import InstanceSpec, gen_instance
@@ -243,10 +243,8 @@ def test_rigidity_contradiction_exits_three(tmp_path, monkeypatch, capsys):
     # faulty solver can leave both certificates failing
     kp, qp, k, q, _ = _gen_pair_files(tmp_path)
 
-    def fail(target, q, base):
-        raise BranchUnavailable("this signals a bug", pair=(0, 1))
-
-    monkeypatch.setattr("detequiv.recovery._cocycle_gauge", fail)
+    monkeypatch.setattr("detequiv.recovery._propagate_gauge",
+                        lambda target, q, base: None)
     with pytest.raises(VerificationFailed, match="rigidity theorem"):
         recover(k, q)
     out = tmp_path / "report.json"
@@ -268,9 +266,31 @@ def test_oversized_minor_scan_exits_two(tmp_path, capsys):
     kp = _write_doc(tmp_path / "k.json",
                     Kernel(Q, [str(i) for i in range(n)], rows).to_doc())
     assert main(["check-equiv", "--k", kp, "--q", kp]) == 2
-    assert main(["recover", "--k", kp, "--q", kp]) == 2
     assert "2097151 subsets" in capsys.readouterr().err
     assert main(["check-equiv", "--k", kp, "--q", kp, "--max-order", "3"]) == 0
+    # the all-ones gauge fits, and the identity is degenerate
+    assert main(["recover", "--k", kp, "--q", kp]) == 1
+    assert "degenerate" in capsys.readouterr().out
+
+
+def test_recover_past_the_scan_guard_exits_two_without_naming_an_option(
+        tmp_path, capsys):
+    # unit 5-cycles on points 0-4 and 5-9 over an identity diagonal, the
+    # second one reversed in q: every principal minor agrees, but neither
+    # q nor its flip has k's zero layout, so only the full scan could refute
+    n = 21
+    labels = [str(i) for i in range(n)]
+    k_rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    q_rows = [list(r) for r in k_rows]
+    for i in range(5):
+        k_rows[i][(i + 1) % 5] = q_rows[i][(i + 1) % 5] = 1
+        k_rows[5 + i][5 + (i + 1) % 5] = q_rows[5 + (i + 1) % 5][5 + i] = 1
+    kp = _write_doc(tmp_path / "k.json", Kernel(Q, labels, k_rows).to_doc())
+    qp = _write_doc(tmp_path / "q.json", Kernel(Q, labels, q_rows).to_doc())
+    assert main(["recover", "--k", kp, "--q", qp]) == 2
+    err = capsys.readouterr().err
+    assert "2097151 subsets" in err
+    assert "max_order" not in err
 
 
 def test_check_equiv_refutes_at_low_order_past_the_scan_guard(tmp_path):
