@@ -44,6 +44,16 @@ from each row, so each term, and each minor, on a subset S is scaled by the
 same product of D_i over S on both sides, and a difference survives the
 scaling exactly when it was there before.  The witness minors are computed
 in field values.
+
+Before the walk, a pair whose minors agree up to order 4 is offered a
+certificate: the gauge that carries k, or kᵀ, onto q entry by entry.
+Conjugating by a gauge and transposing both preserve every principal minor,
+so a certificate that re-checks proves that all minors agree, and it cannot
+pass on a pair that differs anywhere.  ``certify`` solves for the gauge by
+propagation along nonzero entries; with matching zero layouts a gauge is
+fixed up to one constant per connected component of the nonzero pattern,
+so the solve misses no certificate.  Only a pair without one, equivalent or
+not, is walked, and only such a pair meets the guard on the walk's size.
 """
 
 from __future__ import annotations
@@ -53,7 +63,7 @@ import math
 from dataclasses import dataclass
 
 from .fields import _det_int_bareiss, _det_prime, integer_rows
-from .kernels import Cycle, require_same_points
+from .kernels import Cycle, Gauge, require_same_points
 
 _SCAN_GUARD = 2**20  # subsets; admits the full scan up to n = 20
 
@@ -107,13 +117,16 @@ def check_equivalence(k, q, max_order=None):
     and, among those, the lexicographically least.  Orders 1-4 are compared
     by closed form, in order of cardinality and then lexicographically,
     which is exact because the scan reaches an order only after every
-    smaller subset has agreed.  Orders 5 and up come from one walk of
-    bordered minors, updated by Sylvester's identity and eliminated afresh
-    below a zero pivot; its preorder meets each order's subsets
-    lexicographically (module docstring).  The walk is refused with
-    ValueError when it would cover more than _SCAN_GUARD subsets, so a
-    refutation up to order 4 answers at any n.  The witness minors are
-    computed in field values.
+    smaller subset has agreed.  With a cap of 5 or more, a pair that agrees
+    up to order 4 is then offered the certificate (``certify``), which
+    proves every minor equal when it re-checks.  Otherwise orders 5 and up
+    come from one walk of bordered minors, updated by Sylvester's identity
+    and eliminated afresh below a zero pivot; its preorder meets each
+    order's subsets lexicographically (module docstring).  The walk is
+    refused with ValueError when it would cover more than _SCAN_GUARD
+    subsets, so only a pair without a certificate and without a difference
+    up to order 4 can meet that bound.  The witness minors are computed in
+    field values.
     """
     require_same_points(k, q)
     n = k.n
@@ -123,6 +136,8 @@ def check_equivalence(k, q, max_order=None):
     kr, qr = _integer_pair(k, q)
     witness = next(_drift(k.field, kr, qr, range(1, min(cap, 4) + 1)), None)
     if witness is None and cap >= 5:
+        if certify(k, q) is not None:
+            return EquivalenceReport(True, cap)
         subsets = sum(math.comb(n, r) for r in range(1, cap + 1))
         if subsets > _SCAN_GUARD:
             raise ValueError(f"minor scan needs {subsets} subsets, over the "
@@ -132,6 +147,64 @@ def check_equivalence(k, q, max_order=None):
         return EquivalenceReport(True, cap)
     return EquivalenceReport(False, cap, witness, k.principal_minor(witness),
                              q.principal_minor(witness))
+
+
+def certify(k, q):
+    """The transform carrying k onto q, re-checked entry by entry, or None.
+
+    Returns (transposed, gauge, base_label) with q = g t g^(-1), where t
+    is k, or kᵀ when transposed; the direct framework is tried first.  The
+    gauge is 1 at base_label, the smallest label, and is pushed from there
+    along nonzero entries (``_propagate_gauge``), then re-conjugates t onto
+    q to pass.  Such a certificate preserves every principal minor, so it
+    proves equivalence whether or not either kernel has property D.
+    """
+    require_same_points(k, q)
+    base = min(range(k.n), key=lambda i: k.labels[i])
+    for transposed in (False, True):
+        target = k.transpose() if transposed else k
+        gauge = _propagate_gauge(target, q, base)
+        if gauge is not None and target.conjugate(gauge).rows == q.rows:
+            return transposed, gauge, k.labels[base]
+    return None
+
+
+def _propagate_gauge(target, q, base):
+    """Solve q = g t g^(-1) by pushing g along nonzero entries.
+
+    Returns None unless the zero layouts match; otherwise fixes g = 1 at
+    the base point and at each later root the base cannot reach, and
+    pushes g across every nonzero entry (in either direction).  A cycle
+    that disagrees is left for the re-check to catch.
+    """
+    field = target.field
+    t_rows, q_rows = target.rows, q.rows
+    n = len(t_rows)
+    zero = field.is_zero
+    if any(zero(t_rows[i][j]) != zero(q_rows[i][j])
+           for i in range(n) for j in range(n)):
+        return None
+    g = [None] * n
+    order = [base] + [i for i in range(n) if i != base]
+    for root in order:
+        if g[root] is not None:
+            continue
+        g[root] = field.one
+        stack = [root]
+        while stack:
+            i = stack.pop()
+            for j in range(n):
+                if g[j] is not None or i == j:
+                    continue
+                if not zero(t_rows[i][j]):
+                    # q(i,j) = g(i) t(i,j) / g(j)
+                    g[j] = field.div(field.mul(g[i], t_rows[i][j]), q_rows[i][j])
+                    stack.append(j)
+                elif not zero(t_rows[j][i]):
+                    # q(j,i) = g(j) t(j,i) / g(i)
+                    g[j] = field.div(field.mul(q_rows[j][i], g[i]), t_rows[j][i])
+                    stack.append(j)
+    return Gauge(field, target.labels, g)
 
 
 def _integer_pair(k, q):

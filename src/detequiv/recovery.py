@@ -2,12 +2,15 @@
 
 Two kernels are related by the paper's canonical transformations when
 Q = g K g⁻¹ for a nowhere-zero gauge g, directly or after the flip K -> Kᵀ;
-the flipped case is the direct one run on the transpose.  ``recover`` solves
-for g by propagation along nonzero entries and re-checks it entry by entry.
-The solve is complete: with matching zero layouts a gauge is fixed up to one
-constant per connected component of the nonzero pattern.  Gauge and flip
-preserve every principal minor, so a certificate that re-checks proves
-equivalence, and the minors above order three are compared only to refute.
+the flipped case is the direct one run on the transpose.  ``recover`` takes
+its certificate from ``equivalence.certify``, which solves for g by
+propagation along nonzero entries and re-checks it entry by entry; the
+minor scan of ``check_equivalence`` tries the same certificate before its
+walk.  The solve is complete: with matching zero layouts a gauge is fixed
+up to one constant per connected component of the nonzero pattern.  Gauge
+and flip preserve every principal minor, so a certificate that re-checks
+proves equivalence, and the minors above order three are compared only to
+refute.
 
 The paper's constructive route, the ratio table with its cocycle laws, is
 kept as the reference the tests compare against: whenever the table passes
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 
 from .classd import check_class_d
 from .classify import GlobalCase
-from .equivalence import check_equivalence
+from .equivalence import certify, check_equivalence
 from .errors import (
     BranchUnavailable,
     ClassDViolation,
@@ -237,15 +240,12 @@ def recover(k, q):
     n = k.n
     _refute(check_equivalence(k, q, max_order=min(n, 3)))
 
-    base = min(range(n), key=lambda i: k.labels[i])
-    for transposed in (False, True):
-        target = k.transpose() if transposed else k
-        gauge = _propagate_gauge(target, q, base)
-        if gauge is None or target.conjugate(gauge).rows != q.rows:
-            continue
+    found = certify(k, q)
+    if found is not None:
         _require_class_d(k)
+        transposed, gauge, base_label = found
         return RecoveryResult(transposed=transposed, gauge=gauge,
-                              base_label=k.labels[base])
+                              base_label=base_label)
 
     if n <= 3:
         # equivalent pairs with no transform exist below four points
@@ -278,42 +278,3 @@ def _require_class_d(*kernels):
                 f"the {role} kernel has a vanishing cross minor at "
                 f"{crep.witness_labels!r}", kernel_role=role,
                 witness=crep.witness)
-
-
-def _propagate_gauge(target, q, base):
-    """Solve q = g t g^(-1) by pushing g along nonzero entries.
-
-    Returns None unless the zero layouts match; otherwise fixes g = 1 at
-    the base point and at each later root the base cannot reach, and
-    pushes g across every nonzero entry (in either direction).  A cycle
-    that disagrees is left for the re-check to catch.
-    """
-    field = target.field
-    t_rows, q_rows = target.rows, q.rows
-    n = len(t_rows)
-    zero = field.is_zero
-    if any(zero(t_rows[i][j]) != zero(q_rows[i][j])
-           for i in range(n) for j in range(n)):
-        return None
-    g = [None] * n
-    order = [base] + [i for i in range(n) if i != base]
-    for root in order:
-        if g[root] is not None:
-            continue
-        g[root] = field.one
-        stack = [root]
-        while stack:
-            i = stack.pop()
-            for j in range(n):
-                if g[j] is not None or i == j:
-                    continue
-                if not zero(t_rows[i][j]):
-                    # q(i,j) = g(i) t(i,j) / g(j)
-                    g[j] = field.div(field.mul(g[i], t_rows[i][j]), q_rows[i][j])
-                    stack.append(j)
-                elif not zero(t_rows[j][i]):
-                    # q(j,i) = g(j) t(j,i) / g(i)
-                    g[j] = field.div(field.mul(q_rows[j][i], g[i]), t_rows[j][i])
-                    stack.append(j)
-    return Gauge(field, target.labels, g)
-

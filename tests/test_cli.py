@@ -15,6 +15,8 @@ from detequiv.fields import PrimeField, Rationals
 from detequiv.lab import InstanceSpec, gen_instance
 from detequiv.recovery import recover
 
+from test_equivalence import _five_cycle_pair
+
 Q = Rationals()
 F7 = PrimeField(7)
 
@@ -243,7 +245,7 @@ def test_rigidity_contradiction_exits_three(tmp_path, monkeypatch, capsys):
     # faulty solver can leave both certificates failing
     kp, qp, k, q, _ = _gen_pair_files(tmp_path)
 
-    monkeypatch.setattr("detequiv.recovery._propagate_gauge",
+    monkeypatch.setattr("detequiv.equivalence._propagate_gauge",
                         lambda target, q, base: None)
     with pytest.raises(VerificationFailed, match="rigidity theorem"):
         recover(k, q)
@@ -261,13 +263,23 @@ def test_deeply_nested_json_exits_two(tmp_path, capsys):
 
 
 def test_oversized_minor_scan_exits_two(tmp_path, capsys):
+    # only the walk could prove the unit 5-cycle pair, and at n = 21 the
+    # guard refuses it
+    k, q = _five_cycle_pair(21)
+    cp = _write_doc(tmp_path / "cycles_k.json", k.to_doc())
+    cq = _write_doc(tmp_path / "cycles_q.json", q.to_doc())
+    assert main(["check-equiv", "--k", cp, "--q", cq]) == 2
+    assert "2097151 subsets" in capsys.readouterr().err
+    assert main(["check-equiv", "--k", cp, "--q", cq, "--max-order", "3"]) == 0
+    # the identity is its own certificate, so it needs no walk
     n = 21
     rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     kp = _write_doc(tmp_path / "k.json",
                     Kernel(Q, [str(i) for i in range(n)], rows).to_doc())
-    assert main(["check-equiv", "--k", kp, "--q", kp]) == 2
-    assert "2097151 subsets" in capsys.readouterr().err
-    assert main(["check-equiv", "--k", kp, "--q", kp, "--max-order", "3"]) == 0
+    out = tmp_path / "report.json"
+    assert main(["check-equiv", "--k", kp, "--q", kp, "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert (doc["verdict"], doc["checked_order_max"]) == ("equivalent", 21)
     # the all-ones gauge fits, and the identity is degenerate
     assert main(["recover", "--k", kp, "--q", kp]) == 1
     assert "degenerate" in capsys.readouterr().out

@@ -23,6 +23,7 @@ from detequiv.equivalence import (
 from detequiv.errors import LabelMismatch
 from detequiv.fields import PrimeField, Rationals
 from detequiv.kernels import Cycle, Gauge, Kernel, cycle_product
+from detequiv.lab import _place_zeros
 
 Q = Rationals()
 F7 = PrimeField(7)
@@ -162,14 +163,30 @@ def test_max_order_validation():
     assert check_equivalence(k, k, max_order=1).equivalent
 
 
+def _five_cycle_pair(n):
+    """Unit 5-cycles on points 0-4 and 5-9 over an identity diagonal, the
+    second one reversed in q.  Every principal minor agrees, but neither q
+    nor its flip has k's zero layout, so no certificate exists."""
+    labels = [str(i) for i in range(n)]
+    k_rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    q_rows = [list(r) for r in k_rows]
+    for i in range(5):
+        k_rows[i][(i + 1) % 5] = q_rows[i][(i + 1) % 5] = 1
+        k_rows[5 + i][5 + (i + 1) % 5] = q_rows[5 + (i + 1) % 5][5 + i] = 1
+    return Kernel(Q, labels, k_rows), Kernel(Q, labels, q_rows)
+
+
 def test_scan_guard_rejects_oversized_full_scan():
-    rng = random.Random(421)
-    k = _random_kernel(rng, PrimeField(101), 21)
+    k, q = _five_cycle_pair(21)
     with pytest.raises(ValueError, match="2097151 subsets"):
-        check_equivalence(k, k)
-    capped = check_equivalence(k, k, max_order=3)
+        check_equivalence(k, q)
+    capped = check_equivalence(k, q, max_order=3)
     assert capped.equivalent
     assert capped.checked_order_max == 3
+    # a pair that is its own certificate answers past the guard
+    rng = random.Random(421)
+    k = _random_kernel(rng, PrimeField(101), 21)
+    assert check_equivalence(k, k) == EquivalenceReport(True, 21)
 
 
 def test_mismatched_points_rejected():
@@ -413,8 +430,17 @@ def _walk_pairs(rng, field, n):
 
 def test_bordered_walk_matches_determinants(monkeypatch):
     # whole reports, for every cap, against a principal_minor loop; the
-    # fallback below a zero pivot must run over both kinds of field
+    # fallback below a zero pivot must run over both kinds of field.  The
+    # certificate proves the gauge and flip partners before the walk, so
+    # the walk is run on them directly too
     eliminated = set()
+    walk = equivalence._walk
+    walked = set()
+
+    def counted_walk(field, *args):
+        walked.add(field)
+        return walk(field, *args)
+    monkeypatch.setattr(equivalence, "_walk", counted_walk)
 
     def counted(name):
         det = getattr(equivalence, name)
@@ -437,6 +463,8 @@ def test_bordered_walk_matches_determinants(monkeypatch):
                     got = check_equivalence(k, q, max_order=cap)
                     assert got == want, (field, n, cap, k.rows, q.rows)
                 if reports[n].equivalent:
+                    kr, qr = equivalence._integer_pair(k, q)
+                    assert walk(field, kr, qr, n) is None
                     continue
                 order = len(reports[n].witness_subset)
                 first_orders.add(order)
@@ -447,12 +475,13 @@ def test_bordered_walk_matches_determinants(monkeypatch):
     assert {5, 6, 7, 8} <= first_orders
     assert twins == {False, True}
     assert eliminated == {"_det_prime", "_det_int_bareiss"}
+    assert walked == set(_WALK_FIELDS)
 
 
 def test_full_scan_at_sixteen_points():
     # a dense block on ten points and a directed 6-ring on the other six;
-    # a flipped gauge conjugate passes the full scan, and a change to one
-    # ring edge first shows on the ring
+    # a flipped gauge conjugate is certified and passes the full walk, and
+    # a change to one ring edge first shows on the ring
     field = PrimeField(1000003)
     rng = random.Random(409)
     n = 16
@@ -468,7 +497,10 @@ def test_full_scan_at_sixteen_points():
     k = Kernel(field, labels, rows)
     gauge = Gauge(field, labels,
                   [_wide_value(rng, field, unit=True) for _ in range(n)])
-    assert check_equivalence(k, k.transpose().conjugate(gauge)).equivalent
+    kt = k.transpose().conjugate(gauge)
+    assert check_equivalence(k, kt).equivalent
+    kr, qr = equivalence._integer_pair(k, kt)
+    assert equivalence._walk(field, kr, qr, n) is None
     rows[ring[0]][ring[1]] = field.add(rows[ring[0]][ring[1]], field.one)
     q = Kernel(field, labels, rows).transpose().conjugate(gauge)
     rep = check_equivalence(k, q)
@@ -476,6 +508,98 @@ def test_full_scan_at_sixteen_points():
     assert rep.witness_minor_k == k.principal_minor(rep.witness_subset)
     assert rep.witness_minor_q == q.principal_minor(rep.witness_subset)
     assert rep.witness_minor_k != rep.witness_minor_q
+
+
+# ------------------------------- the certificate before the walk, against it
+
+
+def _plain_report(k, q, cap):
+    """check_equivalence with no certificate: orders 1-4 by closed form,
+    then the walk."""
+    kr, qr = equivalence._integer_pair(k, q)
+    witness = next(equivalence._drift(k.field, kr, qr, range(1, 5)), None)
+    if witness is None:
+        witness = equivalence._walk(k.field, kr, qr, cap)
+    if witness is None:
+        return EquivalenceReport(True, cap)
+    return EquivalenceReport(False, cap, witness, k.principal_minor(witness),
+                             q.principal_minor(witness))
+
+
+def _zero_edged_kernel(rng, field, n, zeros):
+    """Unit entries off the diagonal, but for `zeros` edges on fresh pairs
+    of points, each zero one way or both."""
+    rows = [[_wide_value(rng, field, unit=i != j) for j in range(n)]
+            for i in range(n)]
+    _place_zeros(rng, rows, n, zeros)
+    return Kernel(field, [str(i + 1) for i in range(n)], rows)
+
+
+def _block_flip_pair(rng, field, n):
+    """k with two diagonal blocks, and q with the second block transposed,
+    conjugated by a gauge and flipped at random.  Every minor is a product
+    of one minor of each block, so every minor agrees, but in general
+    neither q nor its flip is a gauge conjugate of k."""
+    size = rng.randint(3, n - 3) if n >= 6 else 2
+    rows = [[field.zero] * n for _ in range(n)]
+    k = _wide_kernel(rng, field, n, 0.3)
+    for i, j in itertools.product(range(n), repeat=2):
+        if (i < size) == (j < size):
+            rows[i][j] = k.rows[i][j]
+    k = Kernel(field, k.labels, rows)
+    for i, j in itertools.product(range(size, n), repeat=2):
+        rows[i][j] = k.rows[j][i]
+    q = Kernel(field, k.labels, rows)
+    if rng.random() < 0.5:
+        q = q.transpose()
+    return k, q.conjugate(Gauge(
+        field, k.labels, [_wide_value(rng, field, unit=True) for _ in range(n)]))
+
+
+def _certificate_pairs(rng, field, n):
+    """Gauge and flip partners with 0-2 zero edges, partners that first
+    differ at every order from 1 to n, and equivalent pairs that lack a
+    certificate."""
+    for zeros in range(3):
+        k = _zero_edged_kernel(rng, field, n, zeros)
+        gauge = Gauge(field, k.labels,
+                      [_wide_value(rng, field, unit=True) for _ in range(n)])
+        yield k, k.conjugate(gauge)
+        yield k, k.transpose().conjugate(gauge)
+        for kind in ("diagonal", "entry", "swap", "near_symmetric", "ring"):
+            yield _wide_partner(rng, k, kind)
+        for length in range(5, n + 1):
+            yield _ring_pair(rng, k, length, length < n and rng.random() < 0.5)
+        yield _block_flip_pair(rng, field, n)
+
+
+def test_certificate_never_proves_a_negative():
+    # certificate-first reports against the plain scan, for every cap that
+    # reaches the certificate; a pair with a certificate must agree on
+    # every minor
+    rng = random.Random(410)
+    seen = set()
+    for field in (PrimeField(2), PrimeField(3), PrimeField(101), Q):
+        for n in range(5, 9):
+            for k, q in _certificate_pairs(rng, field, n):
+                proof = equivalence.certify(k, q)
+                for cap in range(5, n + 1):
+                    want = _plain_report(k, q, cap)
+                    assert check_equivalence(k, q, max_order=cap) == want, (
+                        field, n, cap, k.rows, q.rows)
+                    assert proof is None or want.equivalent
+                want = _plain_report(k, q, n)
+                if proof is not None:
+                    outcome = "certified"
+                elif want.equivalent:
+                    outcome = "walked"
+                else:
+                    outcome = len(want.witness_subset) >= 5
+                seen.add((field, outcome))
+    assert seen == {(field, outcome)
+                    for field in (PrimeField(2), PrimeField(3),
+                                  PrimeField(101), Q)
+                    for outcome in ("certified", "walked", False, True)}
 
 
 # -------------------------------------------------------------- prechecks

@@ -13,6 +13,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from detequiv import equivalence
 from detequiv.classd import check_class_d
 from detequiv.equivalence import check_equivalence
 from detequiv.errors import ClassDViolation, NotEquivalent
@@ -21,6 +22,7 @@ from detequiv.kernels import Gauge, Kernel
 from detequiv.lab import InstanceSpec, gen_instance, perturb
 from detequiv.recovery import recover
 
+from test_equivalence import _five_cycle_pair
 from test_recover_flip import _outcome, _table_first_recover, _value
 
 F101 = PrimeField(101)
@@ -148,6 +150,22 @@ def test_recover_answers_past_the_scan_guard():
     with pytest.raises(NotEquivalent) as info:
         recover(k, q)
     assert info.value.subset == (2, 3, 4, 5)
+
+
+def test_recover_tail_keeps_the_scan_verdicts():
+    # the unit 5-cycle pair fails both solves; the tail's verdicts stay
+    # those of the full scan and then of property D
+    k, q = _five_cycle_pair(10)
+    assert equivalence.certify(k, q) is None
+    with pytest.raises(ClassDViolation) as info:
+        recover(k, q)
+    assert (info.value.kernel_role, info.value.witness) == ("first",
+                                                           (0, 1, 2, 3))
+    rows = [list(r) for r in q.rows]
+    rows[0][1] = 2
+    with pytest.raises(NotEquivalent) as info:
+        recover(k, Kernel(Q, q.labels, rows))
+    assert info.value.subset == (0, 1, 2, 3, 4)
 
 
 # ------------------------------------- against the order with the scan first

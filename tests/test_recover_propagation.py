@@ -15,12 +15,12 @@ from fractions import Fraction
 import pytest
 
 from detequiv.classd import check_class_d
+from detequiv.equivalence import _propagate_gauge
 from detequiv.errors import BranchUnavailable
 from detequiv.fields import PrimeField, Rationals
 from detequiv.kernels import Gauge, Kernel
 from detequiv.lab import InstanceSpec, _place_zeros, gen_instance, perturb
 from detequiv.recovery import (
-    _propagate_gauge,
     build_cocycle_case1,
     extract_gauge,
     recover,
