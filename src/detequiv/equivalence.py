@@ -45,22 +45,22 @@ same product of D_i over S on both sides, and a difference survives the
 scaling exactly when it was there before.  The witness minors are computed
 in field values.
 
-Before the walk, a pair whose minors agree up to order 4 is offered a
-certificate: the gauge that carries k, or kᵀ, onto q entry by entry.
-Conjugating by a gauge and transposing both preserve every principal minor,
-so a certificate that re-checks proves that all minors agree, and it cannot
-pass on a pair that differs anywhere.  ``certify`` solves for the gauge by
-propagation along nonzero entries; with matching zero layouts a gauge is
+Once orders 1-3 agree, at every cap, the pair is offered a certificate: the
+gauge that carries k, or kᵀ, onto q entry by entry.  Gauge conjugation and
+the flip preserve every principal minor, so a certificate that re-checks
+proves that all minors agree; it cannot pass on a pair that differs
+anywhere, so trying it before order 4 hides no witness.  ``certify`` solves
+by propagation along nonzero entries; with matching zero layouts a gauge is
 fixed up to one constant per connected component of the nonzero pattern,
-so the solve misses no certificate.  Only a pair without one, equivalent or
-not, is walked, and only such a pair meets the guard on the walk's size.
+so the solve misses no certificate.  Only a pair without one reaches order
+4 and the walk, and only such a pair meets the guard on the walk's size.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .fields import _det_int_bareiss, _det_prime, integer_rows
 from .kernels import Cycle, Gauge, require_same_points
@@ -102,42 +102,51 @@ def quick_consequences(k, q):
 
 @dataclass(frozen=True)
 class EquivalenceReport:
+    """A verdict with its witness, or with the certificate of ``certify``
+    on a certified positive; equality ignores the certificate."""
+
     equivalent: bool
     checked_order_max: int
     witness_subset: tuple = None   # smallest failing index set, lex-least
     witness_minor_k: object = None
     witness_minor_q: object = None
+    certificate: tuple = field(default=None, compare=False)
 
 
 def check_equivalence(k, q, max_order=None):
     """Compare principal minors on every subset of size 1..max_order.
 
-    max_order defaults to n (the full check); a cap outside [1, n] raises
-    ValueError.  A negative verdict carries the smallest failing subset
-    and, among those, the lexicographically least.  Orders 1-4 are compared
-    by closed form, in order of cardinality and then lexicographically,
-    which is exact because the scan reaches an order only after every
-    smaller subset has agreed.  With a cap of 5 or more, a pair that agrees
-    up to order 4 is then offered the certificate (``certify``), which
-    proves every minor equal when it re-checks.  Otherwise orders 5 and up
-    come from one walk of bordered minors, updated by Sylvester's identity
-    and eliminated afresh below a zero pivot; its preorder meets each
-    order's subsets lexicographically (module docstring).  The walk is
-    refused with ValueError when it would cover more than _SCAN_GUARD
-    subsets, so only a pair without a certificate and without a difference
-    up to order 4 can meet that bound.  The witness minors are computed in
-    field values.
+    max_order defaults to n (the full check); a cap that is not an integer
+    in [1, n] raises ValueError.  A negative verdict carries the smallest
+    failing subset and, among those, the lexicographically least.  Orders
+    1-4 are compared by closed form, in order of cardinality and then
+    lexicographically, which is exact because the scan reaches an order
+    only after every smaller subset has agreed.  At every cap, a pair that
+    agrees up to order 3 is then offered the certificate (``certify``); one
+    that re-checks proves every minor equal and is the report's
+    ``certificate``.  Otherwise order 4 follows, and orders 5 and up come
+    from one walk of bordered minors, updated by Sylvester's identity and
+    eliminated afresh below a zero pivot; its preorder meets each order's
+    subsets lexicographically (module docstring).  The walk is refused
+    with ValueError when it would cover more than _SCAN_GUARD subsets, so
+    only a pair without a certificate and without a difference up to
+    order 4 meets that bound.  Witness minors are in field values.
     """
     require_same_points(k, q)
     n = k.n
     cap = n if max_order is None else max_order
-    if not 1 <= cap <= n:
-        raise ValueError(f"max_order must lie in [1, {n}], got {max_order}")
+    if type(cap) is not int or not 1 <= cap <= n:
+        raise ValueError(f"max_order must be an integer in [1, {n}], "
+                         f"got {max_order!r}")
     kr, qr = _integer_pair(k, q)
-    witness = next(_drift(k.field, kr, qr, range(1, min(cap, 4) + 1)), None)
+    orders = range(1, min(cap, 4) + 1)
+    witness = next(_drift(k.field, kr, qr, orders[:3]), None)
+    if witness is None:
+        found = certify(k, q)
+        if found is not None:
+            return EquivalenceReport(True, cap, certificate=found)
+        witness = next(_drift(k.field, kr, qr, orders[3:]), None)
     if witness is None and cap >= 5:
-        if certify(k, q) is not None:
-            return EquivalenceReport(True, cap)
         subsets = sum(math.comb(n, r) for r in range(1, cap + 1))
         if subsets > _SCAN_GUARD:
             raise ValueError(f"minor scan needs {subsets} subsets, over the "
@@ -158,6 +167,7 @@ def certify(k, q):
     along nonzero entries (``_propagate_gauge``), then re-conjugates t onto
     q to pass.  Such a certificate preserves every principal minor, so it
     proves equivalence whether or not either kernel has property D.
+    ``check_equivalence`` returns it as the report's ``certificate``.
     """
     require_same_points(k, q)
     base = min(range(k.n), key=lambda i: k.labels[i])

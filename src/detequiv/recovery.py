@@ -2,15 +2,14 @@
 
 Two kernels are related by the paper's canonical transformations when
 Q = g K g⁻¹ for a nowhere-zero gauge g, directly or after the flip K -> Kᵀ;
-the flipped case is the direct one run on the transpose.  ``recover`` takes
-its certificate from ``equivalence.certify``, which solves for g by
-propagation along nonzero entries and re-checks it entry by entry; the
-minor scan of ``check_equivalence`` tries the same certificate before its
-walk.  The solve is complete: with matching zero layouts a gauge is fixed
-up to one constant per connected component of the nonzero pattern.  Gauge
-and flip preserve every principal minor, so a certificate that re-checks
-proves equivalence, and the minors above order three are compared only to
-refute.
+the flipped case is the direct one run on the transpose.  ``recover``
+makes one ``equivalence.check_equivalence`` call, which compares minors up
+to order three and then tries ``equivalence.certify``: g solved by
+propagation along nonzero entries, re-checked entry by entry.  The solve
+is complete: with matching zero layouts a gauge is fixed up to one
+constant per connected component of the nonzero pattern.  Gauge and flip
+preserve every principal minor, so a certificate that re-checks proves
+equivalence, and the same call compares higher minors only to refute.
 
 The paper's constructive route, the ratio table with its cocycle laws, is
 kept as the reference the tests compare against: whenever the table passes
@@ -33,7 +32,7 @@ from dataclasses import dataclass
 
 from .classd import check_class_d
 from .classify import GlobalCase
-from .equivalence import certify, check_equivalence
+from .equivalence import check_equivalence
 from .errors import (
     BranchUnavailable,
     ClassDViolation,
@@ -222,50 +221,39 @@ class RecoveryResult:
 def recover(k, q):
     """Decide equivalence and produce the transform carrying k onto q.
 
-    Pipeline: the minor comparison up to order three, then the propagated
-    gauge and its entrywise re-check, first on k and then on kᵀ.  The first
-    certificate that passes is returned once k passes the nondegeneracy
-    scan (from n = 4 on); q's verdict is k's, since a gauge scales each
-    cross minor by a unit and the flip maps cross minors to cross minors.
-    Only two failed solves pay for the rest of the minor scan, whose
-    witness comes before any other verdict, and then for the nondegeneracy
-    scan of both kernels.  From n = 4 on a pair that passes both scans
-    would contradict the rigidity theorem (module docstring).
+    Pipeline: one ``check_equivalence`` call, which tries the certificate
+    (the propagated gauge, re-checked entry by entry, on k and then on kᵀ)
+    once the minors agree up to order three.  A certificate is returned
+    once k passes the nondegeneracy scan (from n = 4 on); q's verdict is
+    k's, since a gauge scales each cross minor by a unit and the flip maps
+    cross minors to cross minors.  Without one, the same call's witness
+    comes first, with no second solve, then the nondegeneracy scan of both
+    kernels.  From n = 4 on a pair that passes both scans would contradict
+    the rigidity theorem (module docstring).
 
     Raises NotEquivalent, ClassDViolation or NotRecoverable for negative
     verdicts, VerificationFailed for such a contradiction, an internal
     fault.
     """
-    require_same_points(k, q)
-    n = k.n
-    _refute(check_equivalence(k, q, max_order=min(n, 3)))
-
-    found = certify(k, q)
-    if found is not None:
-        _require_class_d(k)
-        transposed, gauge, base_label = found
-        return RecoveryResult(transposed=transposed, gauge=gauge,
-                              base_label=base_label)
-
-    if n <= 3:
-        # equivalent pairs with no transform exist below four points
-        raise NotRecoverable(
-            "kernels agree on all principal minors but no diagonal change of "
-            "variables relates them, flipped or not")
-    _refute(check_equivalence(k, q))
-    _require_class_d(k, q)
-    raise VerificationFailed(
-        "both kernels have property D and agree on every principal minor, "
-        "but neither certificate re-checks; this contradicts the rigidity "
-        "theorem and signals a bug")
-
-
-def _refute(rep):
+    rep = check_equivalence(k, q)
     if not rep.equivalent:
         raise NotEquivalent(
             f"kernels disagree on the principal minor at {rep.witness_subset!r}",
             subset=rep.witness_subset, minor_k=rep.witness_minor_k,
             minor_q=rep.witness_minor_q)
+    if rep.certificate is not None:
+        _require_class_d(k)
+        return RecoveryResult(*rep.certificate)
+    if k.n <= 3:
+        # equivalent pairs with no transform exist below four points
+        raise NotRecoverable(
+            "kernels agree on all principal minors but no diagonal change of "
+            "variables relates them, flipped or not")
+    _require_class_d(k, q)
+    raise VerificationFailed(
+        "both kernels have property D and agree on every principal minor, "
+        "but neither certificate re-checks; this contradicts the rigidity "
+        "theorem and signals a bug")
 
 
 def _require_class_d(*kernels):

@@ -163,6 +163,13 @@ def test_max_order_validation():
     assert check_equivalence(k, k, max_order=1).equivalent
 
 
+def test_max_order_rejects_non_integers():
+    k = Kernel(Q, ["a", "b"], [[1, 2], [3, 4]])
+    for bad in (True, 2.0, "2"):
+        with pytest.raises(ValueError, match="integer"):
+            check_equivalence(k, k, max_order=bad)
+
+
 def _five_cycle_pair(n):
     """Unit 5-cycles on points 0-4 and 5-9 over an identity diagonal, the
     second one reversed in q.  Every principal minor agrees, but neither q
@@ -515,10 +522,11 @@ def test_full_scan_at_sixteen_points():
 
 def _plain_report(k, q, cap):
     """check_equivalence with no certificate: orders 1-4 by closed form,
-    then the walk."""
+    then the walk, up to the cap."""
     kr, qr = equivalence._integer_pair(k, q)
-    witness = next(equivalence._drift(k.field, kr, qr, range(1, 5)), None)
-    if witness is None:
+    witness = next(equivalence._drift(k.field, kr, qr,
+                                      range(1, min(cap, 4) + 1)), None)
+    if witness is None and cap >= 5:
         witness = equivalence._walk(k.field, kr, qr, cap)
     if witness is None:
         return EquivalenceReport(True, cap)
@@ -574,19 +582,26 @@ def _certificate_pairs(rng, field, n):
 
 
 def test_certificate_never_proves_a_negative():
-    # certificate-first reports against the plain scan, for every cap that
-    # reaches the certificate; a pair with a certificate must agree on
-    # every minor
+    # certificate-first reports against the plain scan, for every cap; a
+    # pair with a certificate must agree on every minor, and an equivalent
+    # report carries certify's certificate, which re-conjugates k or kᵀ
+    # onto q
     rng = random.Random(410)
     seen = set()
     for field in (PrimeField(2), PrimeField(3), PrimeField(101), Q):
         for n in range(5, 9):
             for k, q in _certificate_pairs(rng, field, n):
                 proof = equivalence.certify(k, q)
-                for cap in range(5, n + 1):
+                if proof is not None:
+                    transposed, gauge, _ = proof
+                    target = k.transpose() if transposed else k
+                    assert target.conjugate(gauge) == q
+                for cap in range(1, n + 1):
                     want = _plain_report(k, q, cap)
-                    assert check_equivalence(k, q, max_order=cap) == want, (
-                        field, n, cap, k.rows, q.rows)
+                    got = check_equivalence(k, q, max_order=cap)
+                    assert got == want, (field, n, cap, k.rows, q.rows)
+                    assert got.certificate == (proof if want.equivalent
+                                               else None)
                     assert proof is None or want.equivalent
                 want = _plain_report(k, q, n)
                 if proof is not None:
@@ -600,6 +615,33 @@ def test_certificate_never_proves_a_negative():
                     for field in (PrimeField(2), PrimeField(3),
                                   PrimeField(101), Q)
                     for outcome in ("certified", "walked", False, True)}
+
+
+def test_certified_positive_computes_no_order_four_term(monkeypatch):
+    # the certificate comes right after order 3; only a pair without one
+    # pays for the C(n, 4) four-cycle sums
+    terms = []
+    four = equivalence._CYCLE_TERMS[4]
+
+    def counting(rows, s):
+        terms.append(s)
+        return four(rows, s)
+
+    monkeypatch.setattr(equivalence, "_CYCLE_TERMS",
+                        (*equivalence._CYCLE_TERMS[:4], counting))
+    rng = random.Random(412)
+    for field in (PrimeField(101), Q):
+        k = _zero_edged_kernel(rng, field, 8, 1)
+        gauge = Gauge(field, k.labels,
+                      [_wide_value(rng, field, unit=True) for _ in range(8)])
+        for transposed in (False, True):
+            q = (k.transpose() if transposed else k).conjugate(gauge)
+            rep = check_equivalence(k, q)
+            assert rep.equivalent
+            assert rep.certificate[0] is transposed
+    assert terms == []
+    assert check_equivalence(*_five_cycle_pair(10)).equivalent
+    assert len(terms) == 2 * 210   # both kernels on every 4-subset
 
 
 # -------------------------------------------------------------- prechecks

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from detequiv import equivalence
 from detequiv.classd import check_class_d
 from detequiv.equivalence import check_equivalence
-from detequiv.errors import ClassDViolation, NotEquivalent
+from detequiv.errors import ClassDViolation, NotEquivalent, NotRecoverable
 from detequiv.fields import PrimeField, Rationals
 from detequiv.kernels import Gauge, Kernel
 from detequiv.lab import InstanceSpec, gen_instance, perturb
@@ -43,6 +43,24 @@ def minor_orders(monkeypatch):
 
     monkeypatch.setattr(Kernel, "principal_minor", recording)
     return orders
+
+
+@pytest.fixture
+def pipeline_calls(monkeypatch):
+    """Count recover's calls of check_equivalence and of the gauge solve."""
+    calls = {"scan": 0, "solve": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr("detequiv.recovery.check_equivalence",
+                        counting("scan", check_equivalence))
+    monkeypatch.setattr("detequiv.equivalence._propagate_gauge",
+                        counting("solve", equivalence._propagate_gauge))
+    return calls
 
 
 def _labels(n):
@@ -152,20 +170,65 @@ def test_recover_answers_past_the_scan_guard():
     assert info.value.subset == (2, 3, 4, 5)
 
 
-def test_recover_tail_keeps_the_scan_verdicts():
+def test_recover_tail_keeps_the_scan_verdicts(pipeline_calls):
     # the unit 5-cycle pair fails both solves; the tail's verdicts stay
-    # those of the full scan and then of property D
+    # those of the full scan and then of property D, with no second solve
     k, q = _five_cycle_pair(10)
     assert equivalence.certify(k, q) is None
+    pipeline_calls.update(scan=0, solve=0)
     with pytest.raises(ClassDViolation) as info:
         recover(k, q)
     assert (info.value.kernel_role, info.value.witness) == ("first",
                                                            (0, 1, 2, 3))
+    assert pipeline_calls == {"scan": 1, "solve": 2}
     rows = [list(r) for r in q.rows]
     rows[0][1] = 2
+    pipeline_calls.update(scan=0, solve=0)
     with pytest.raises(NotEquivalent) as info:
         recover(k, Kernel(Q, q.labels, rows))
     assert info.value.subset == (0, 1, 2, 3, 4)
+    assert pipeline_calls == {"scan": 1, "solve": 2}
+
+
+def _pipeline_cases():
+    """(name, k, q, outcome, solves): outcome is "ok", the order of the
+    NotEquivalent witness, or the error raised."""
+    for transposed in (False, True):
+        k, q, _ = gen_instance(InstanceSpec(field=F101, n=7,
+                                            transpose=transposed,
+                                            zero_edges=1, seed=12))
+        yield "flipped" if transposed else "direct", k, q, "ok", 1 + transposed
+    # double one entry of a pair whose products are nonzero in the flipped q
+    rows = [list(r) for r in q.rows]
+    i, j = next((i, j) for i, j in itertools.combinations(range(7), 2)
+                if rows[i][j] and rows[j][i])
+    rows[i][j] = F101.mul(rows[i][j], 2)
+    yield "order-2", k, Kernel(F101, k.labels, rows), 2, 0
+    yield "order-4", *_swapped_pair(20261018, False), 4, 2
+    k = _swapped_pair(20261018, True)[0]
+    q = k.conjugate(Gauge(BIG, k.labels, range(1, 7)))
+    yield "degenerate", k, q, ClassDViolation, 1
+    yield ("n-below-4", Kernel(Q, _labels(2), [[2, 0], [7, 3]]),
+           Kernel(Q, _labels(2), [[2, 0], [0, 3]]), NotRecoverable, 2)
+    yield "five-cycles", *_five_cycle_pair(10), ClassDViolation, 2
+
+
+@pytest.mark.parametrize("case", list(_pipeline_cases()),
+                         ids=lambda case: case[0])
+def test_recover_runs_one_pipeline(pipeline_calls, case):
+    # one check_equivalence call decides every outcome, with at most two
+    # gauge solves, and none before orders 1-3 agree
+    _, k, q, outcome, solves = case
+    if outcome == "ok":
+        assert recover(k, q).transposed is (solves == 2)
+    elif isinstance(outcome, int):
+        with pytest.raises(NotEquivalent) as info:
+            recover(k, q)
+        assert len(info.value.subset) == outcome
+    else:
+        with pytest.raises(outcome):
+            recover(k, q)
+    assert pipeline_calls == {"scan": 1, "solve": solves}
 
 
 # ------------------------------------- against the order with the scan first
