@@ -52,8 +52,11 @@ proves that all minors agree; it cannot pass on a pair that differs
 anywhere, so trying it before order 4 hides no witness.  ``certify`` solves
 by propagation along nonzero entries; with matching zero layouts a gauge is
 fixed up to one constant per connected component of the nonzero pattern,
-so the solve misses no certificate.  Only a pair without one reaches order
-4 and the walk, and only such a pair meets the guard on the walk's size.
+so the solve misses no certificate.  It re-checks q(i,j) g(j) = g(i) t(i,j)
+on the integer rows the scan already holds, with the gauge scaled to
+integers over Q, and stops at the first entry that fails; no conjugated
+kernel is built.  Only a pair without a certificate reaches order 4 and
+the walk, and only such a pair meets the guard on the walk's size.
 """
 
 from __future__ import annotations
@@ -138,11 +141,11 @@ def check_equivalence(k, q, max_order=None):
     if type(cap) is not int or not 1 <= cap <= n:
         raise ValueError(f"max_order must be an integer in [1, {n}], "
                          f"got {max_order!r}")
-    kr, qr = _integer_pair(k, q)
+    (kr, qr), scales = integer_rows(k.field, k.rows, q.rows)
     orders = range(1, min(cap, 4) + 1)
     witness = next(_drift(k.field, kr, qr, orders[:3]), None)
     if witness is None:
-        found = certify(k, q)
+        found = _certify(k, q, kr, qr, scales)
         if found is not None:
             return EquivalenceReport(True, cap, certificate=found)
         witness = next(_drift(k.field, kr, qr, orders[3:]), None)
@@ -164,19 +167,57 @@ def certify(k, q):
     Returns (transposed, gauge, base_label) with q = g t g^(-1), where t
     is k, or kᵀ when transposed; the direct framework is tried first.  The
     gauge is 1 at base_label, the smallest label, and is pushed from there
-    along nonzero entries (``_propagate_gauge``), then re-conjugates t onto
-    q to pass.  Such a certificate preserves every principal minor, so it
-    proves equivalence whether or not either kernel has property D.
-    ``check_equivalence`` returns it as the report's ``certificate``.
+    along nonzero entries (``_propagate_gauge``).  It passes when
+    q(i,j) g(j) = g(i) t(i,j) at every (i, j), the diagonal included.
+    That is tested on kr and qr, the integer rows of the minor scan
+    (``fields.integer_rows``), and given up at the first entry that fails;
+    no conjugated kernel is built and no Fraction product is taken.  Over
+    GF(p) each difference qr(i,j) g(j) - g(i) t(i,j) is reduced mod p, with
+    no inverse.  Over Q the gauge is scaled to integers, G = L g with L the
+    lcm of its denominators.  Row i of k and q shares the scale D_i, so the
+    direct test reads qr(i,j) G(j) = G(i) kr(i,j).  In the flipped one
+    t(i,j) = kr(j,i) / D_j, so it reads qr(i,j) H(j) = H(i) kr(j,i) with
+    H(i) = G(i) D_i.  Such a certificate preserves every principal
+    minor, so it proves equivalence whether or not either kernel has
+    property D.  ``check_equivalence`` returns it as the report's
+    ``certificate``.
     """
     require_same_points(k, q)
+    (kr, qr), scales = integer_rows(k.field, k.rows, q.rows)
+    return _certify(k, q, kr, qr, scales)
+
+
+def _certify(k, q, kr, qr, scales):
+    """``certify`` on the integer rows kr, qr of k and q and their row
+    scales, as ``fields.integer_rows`` returns them."""
     base = min(range(k.n), key=lambda i: k.labels[i])
     for transposed in (False, True):
         target = k.transpose() if transposed else k
         gauge = _propagate_gauge(target, q, base)
-        if gauge is not None and target.conjugate(gauge).rows == q.rows:
+        if gauge is not None and _rechecks(k.field, gauge.values, kr, qr,
+                                           scales, transposed):
             return transposed, gauge, k.labels[base]
     return None
+
+
+def _rechecks(field, values, kr, qr, scales, transposed):
+    """Whether q = g t g^(-1) at every entry, on integer rows (``certify``);
+    False at the first entry that fails."""
+    if field.kind == "prime":
+        g = values
+        differ = field.p.__rmod__
+    else:
+        lcm = math.lcm(*(v.denominator for v in values))
+        g = [v.numerator * (lcm // v.denominator) for v in values]
+        if transposed:
+            g = [x * d for x, d in zip(g, scales)]
+        differ = bool
+    t_rows = zip(*kr) if transposed else kr   # kᵀ's row i is k's column i
+    for q_row, t_row, gi in zip(qr, t_rows, g):
+        for qx, tx, gj in zip(q_row, t_row, g):
+            if differ(qx * gj - gi * tx):
+                return False
+    return True
 
 
 def _propagate_gauge(target, q, base):

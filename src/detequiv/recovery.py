@@ -5,11 +5,13 @@ Q = g K g⁻¹ for a nowhere-zero gauge g, directly or after the flip K -> Kᵀ;
 the flipped case is the direct one run on the transpose.  ``recover``
 makes one ``equivalence.check_equivalence`` call, which compares minors up
 to order three and then tries ``equivalence.certify``: g solved by
-propagation along nonzero entries, re-checked entry by entry.  The solve
-is complete: with matching zero layouts a gauge is fixed up to one
-constant per connected component of the nonzero pattern.  Gauge and flip
-preserve every principal minor, so a certificate that re-checks proves
-equivalence, and the same call compares higher minors only to refute.
+propagation along nonzero entries, then re-checked entry by entry on the
+scan's integer rows, with no conjugated kernel built, up to the first
+entry that fails.  The solve is complete: with matching zero layouts a
+gauge is fixed up to one constant per connected component of the nonzero
+pattern.  Gauge and flip preserve every principal minor, so a certificate
+that re-checks proves equivalence, and the same call compares higher
+minors only to refute.
 
 The paper's constructive route, the ratio table with its cocycle laws, is
 kept as the reference the tests compare against: whenever the table passes

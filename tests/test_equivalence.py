@@ -21,7 +21,7 @@ from detequiv.equivalence import (
     trace_identity_audit,
 )
 from detequiv.errors import LabelMismatch
-from detequiv.fields import PrimeField, Rationals
+from detequiv.fields import PrimeField, Rationals, integer_rows
 from detequiv.kernels import Cycle, Gauge, Kernel, cycle_product
 from detequiv.lab import _place_zeros
 
@@ -642,6 +642,89 @@ def test_certified_positive_computes_no_order_four_term(monkeypatch):
     assert terms == []
     assert check_equivalence(*_five_cycle_pair(10)).equivalent
     assert len(terms) == 2 * 210   # both kernels on every 4-subset
+
+
+# ---------------- the certificate's re-check, against the conjugated kernel
+
+
+def _plain_certify(k, q):
+    """certify with the plain re-check: conjugate the whole kernel and
+    compare it with q."""
+    base = min(range(k.n), key=lambda i: k.labels[i])
+    for transposed in (False, True):
+        target = k.transpose() if transposed else k
+        gauge = equivalence._propagate_gauge(target, q, base)
+        if gauge is not None and target.conjugate(gauge).rows == q.rows:
+            return transposed, gauge, k.labels[base]
+    return None
+
+
+def _row_scaled_kernel(rng, field, n, zeros):
+    """Unit entries off the diagonal, but for `zeros` zero edges; over Q
+    the denominators of row i are multiples of 10^(2i), so the row scales
+    of the integer rows differ widely from row to row."""
+    if field.kind == "prime":
+        rows = [[_wide_value(rng, field, unit=i != j) for j in range(n)]
+                for i in range(n)]
+    else:
+        rows = [[Fraction(rng.choice((-1, 1)) * rng.randint(i != j, 999),
+                          rng.randint(1, 999) * 10 ** (2 * i))
+                 for j in range(n)] for i in range(n)]
+    _place_zeros(rng, rows, n, zeros)
+    return Kernel(field, [str(i + 1) for i in range(n)], rows)
+
+
+def _recheck_pairs(rng, field, n, zeros):
+    """k, a gauge, and (q, transposed) for the gauge or flip partner q of
+    k, then for each copy of q with one entry changed, at every position."""
+    k = _row_scaled_kernel(rng, field, n, zeros)
+    gauge = Gauge(field, k.labels,
+                  [_wide_value(rng, field, unit=True) for _ in range(n)])
+    pairs = []
+    for transposed in (False, True):
+        q = (k.transpose() if transposed else k).conjugate(gauge)
+        pairs.append((q, transposed))
+        for i, j in itertools.product(range(n), repeat=2):
+            rows = [list(r) for r in q.rows]
+            rows[i][j] = field.add(rows[i][j],
+                                   _wide_value(rng, field, unit=True))
+            pairs.append((Kernel(field, k.labels, rows), transposed))
+    return k, gauge, pairs
+
+
+def test_integer_recheck_matches_conjugation():
+    # every verdict of the re-check on integer rows equals the plain one
+    # (conjugate t by the gauge and compare it with q), for the propagated
+    # gauge of each framework and for the gauge q was built with; certify
+    # returns the first framework whose propagated gauge passes
+    rng = random.Random(413)
+    verdicts = set()
+    for field in _WALK_FIELDS:
+        for n in range(1, 10):
+            for zeros in range(min(3, n // 2 + 1)):
+                k, built, pairs = _recheck_pairs(rng, field, n, zeros)
+                targets = ((False, k), (True, k.transpose()))
+                for q, flip in pairs:
+                    (kr, qr), scales = integer_rows(field, k.rows, q.rows)
+                    want_proof = None
+                    for transposed, target in targets:
+                        solved = equivalence._propagate_gauge(target, q, 0)
+                        gauges = [solved] + [built] * (transposed is flip)
+                        for gauge in gauges:
+                            if gauge is None:
+                                continue
+                            want = target.conjugate(gauge).rows == q.rows
+                            got = equivalence._rechecks(
+                                field, gauge.values, kr, qr, scales,
+                                transposed)
+                            assert got is want, (field, n, transposed,
+                                                 k.rows, q.rows)
+                            verdicts.add((field, want))
+                            if want and gauge is solved and not want_proof:
+                                want_proof = transposed, solved, k.labels[0]
+                    assert equivalence.certify(k, q) == want_proof
+    assert verdicts == {(field, want) for field in _WALK_FIELDS
+                        for want in (False, True)}
 
 
 # -------------------------------------------------------------- prechecks

@@ -22,7 +22,7 @@ from detequiv.kernels import Gauge, Kernel
 from detequiv.lab import InstanceSpec, gen_instance, perturb
 from detequiv.recovery import recover
 
-from test_equivalence import _five_cycle_pair
+from test_equivalence import _five_cycle_pair, _plain_certify, _plain_report
 from test_recover_flip import _outcome, _table_first_recover, _value
 
 F101 = PrimeField(101)
@@ -229,6 +229,55 @@ def test_recover_runs_one_pipeline(pipeline_calls, case):
         with pytest.raises(outcome):
             recover(k, q)
     assert pipeline_calls == {"scan": 1, "solve": solves}
+
+
+def _cauchy_kernel(rng, field, n):
+    """u_i v_j / (a_i - b_j) off the diagonal, with distinct a's and b's:
+    every cross minor is a nonzero Cauchy minor times units, so the kernel
+    has property D."""
+    points = rng.sample(range(50), 2 * n)
+    a, b = points[:n], points[n:]
+    u = [_value(rng, field, True) for _ in range(n)]
+    v = [_value(rng, field, True) for _ in range(n)]
+    rows = [[_value(rng, field) if i == j else field.div(
+        field.mul(u[i], v[j]), field.coerce(a[i] - b[j]))
+        for j in range(n)] for i in range(n)]
+    return Kernel(field, _labels(n), rows)
+
+
+def test_certificate_recheck_builds_no_kernel(monkeypatch):
+    # the re-check runs on the scan's integer rows; the reports are those
+    # of the plain re-check, which conjugates the whole kernel
+    rng = random.Random(414)
+    cases = []
+    for field in (F101, Q):
+        k = _cauchy_kernel(rng, field, 8)
+        gauge = Gauge(field, k.labels, [_value(rng, field, True)
+                                        for _ in range(8)])
+        for transposed in (False, True):
+            q = (k.transpose() if transposed else k).conjugate(gauge)
+            proof = _plain_certify(k, q)
+            assert proof[0] is transposed
+            cases.append((k, q, proof, None))
+    k, q = _swapped_pair(20261018, False)
+    cases.append((k, q, None, (NotEquivalent, "subset", (2, 3, 4, 5))))
+    cases.append((*_five_cycle_pair(10), None,
+                  (ClassDViolation, "witness", (0, 1, 2, 3))))
+
+    def refuse(*args):
+        raise AssertionError("Kernel.conjugate called")
+
+    monkeypatch.setattr(Kernel, "conjugate", refuse)
+    for k, q, proof, refusal in cases:
+        rep = check_equivalence(k, q)
+        assert rep == _plain_report(k, q, k.n)
+        assert rep.certificate == proof
+        got = _outcome(recover, k, q)
+        if refusal is None:
+            assert got == proof
+        else:
+            error, name, witness = refusal
+            assert got[0] is error and got[2][name] == witness
 
 
 # ------------------------------------- against the order with the scan first
