@@ -10,16 +10,27 @@ nonzero is rigid enough that agreement of principal minors pins down the
 kernel up to a diagonal change of variables and an optional flip, which is
 why the recovery pipeline insists on this property for both inputs.
 
-``check_class_d`` scans integer rows (``fields.integer_rows``): over Q each
-row x is scaled by D_x, the lcm of its denominators.  The cross minor on rows
-{x,w} takes one entry from each of them in both of its terms, so scaling
-multiplies it by D_x D_w, which is nonzero: the same cross minors vanish and
-the witness is the same, found without a Fraction multiply.
+``check_class_d`` takes one pair of rows {x, w} at a time.  Its cross
+minor on columns {y, z} vanishes exactly when the columns
+(h(x,c), h(w,c)) at c = y and c = z are dependent: they have the same
+ratio h(w,c) / h(x,c), with inf where only h(x,c) is zero, or one of them
+is zero on both rows.  So each row pair takes one pass over the columns
+that keys each column by its ratio, and a collision of keys is a
+vanishing minor: O(n^3) in all, against O(n^4) quadruples.
+
+Over Q each row x is scaled to integers by D_x, the lcm of its
+denominators.  The cross minor on rows {x,w} takes one entry from each of
+them in both of its terms, so scaling multiplies it by D_x D_w, which is
+nonzero: the same cross minors vanish and the witness is the same, found
+without a Fraction operation.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
+from operator import getitem
 
 from .errors import ProblematicPair
 from .fields import integer_rows
@@ -33,64 +44,127 @@ class ClassDReport:
     witness_labels: tuple = None
 
 
-def _vanishing_quad(field, rows):
-    """The lex-least ordered quadruple whose cross minor vanishes, or None.
+_X, _W = object(), object()   # keys of the row pair's own columns
+_WILD = object()              # key of a column that is zero on both rows
 
-    Looping over (x, y, z, w) with x < w and y < z, in lexicographic order,
-    meets each row-pair/column-pair once; the other orderings of a vanishing
-    quadruple permute the same four entries, and the least of them comes
-    first in this order.  The field branch sits outside the loop nest because
-    rejection sampling calls this in a tight loop.
+
+def _vanishing_quad(field, rows, first=False):
+    """The lex-least ordered quadruple whose cross minor vanishes, or None;
+    with first set, the first row pair (x, w) found to hold one.
+
+    keys[c] is the ratio rows[w][c] / rows[x][c] times a constant of the
+    row pair (inf where only rows[x][c] is zero), and a column zero on
+    both rows is wild: columns y, z outside {x, w} make the cross minor
+    vanish exactly when their keys collide or one is wild (module
+    docstring).  The witness takes the least x with any, then the least
+    (y, z, w) over its row pairs: the least (x, y, z, w) with x < w and
+    y < z, which is the least ordering of any vanishing quadruple, as the
+    others swap the rows or the columns of the same minor.
+
+    Row x is inverted once for all its row pairs.  Over GF(p), entries in
+    [0, p), each inverse is computed once per value, and fields of at most
+    _RATIO_TABLE_MAX elements, where ``lab.gen_instance`` samples by
+    rejection, look the keys up in ``_ratio_table``.  Over Q an integer
+    row's inverses are L // a, L the lcm of its nonzero entries.
+    Fractions are scaled to integers (module docstring) once a row x holds
+    one; a Fraction in a row w before then still gives an exact key.
     """
     n = len(rows)
-    if field.kind == "prime":
-        p = field.p
-        for x in range(n):
-            row_x = rows[x]
-            for y in range(n):
-                if y == x:
-                    continue
-                a = row_x[y]
-                for z in range(y + 1, n):
-                    if z == x:
-                        continue
-                    b = row_x[z]
-                    for w in range(x + 1, n):
-                        if w != y and w != z:
-                            row_w = rows[w]
-                            if (a * row_w[z] - b * row_w[y]) % p == 0:
-                                return (x, y, z, w)
+    if n < 4:
         return None
-    for x in range(n):
-        row_x = rows[x]
-        for y in range(n):
-            if y == x:
-                continue
-            a = row_x[y]
-            for z in range(y + 1, n):
-                if z == x:
-                    continue
-                b = row_x[z]
-                for w in range(x + 1, n):
-                    if w != y and w != z:
-                        row_w = rows[w]
-                        if a * row_w[z] == b * row_w[y]:
-                            return (x, y, z, w)
+    p = field.p if field.kind == "prime" else None
+    table = _ratio_table(p) if p and p <= _RATIO_TABLE_MAX else None
+    cache = {0: 0}   # inverses in a field past the table, by value
+    best = None
+    for x, row_x in enumerate(rows):
+        if table:
+            inv_x = list(map(table.__getitem__, row_x))   # ratios by column
+        elif p:
+            inv_x = [cache[v] if v in cache
+                     else cache.setdefault(v, pow(v, -1, p)) for v in row_x]
+        else:
+            try:
+                lcm = math.lcm(*row_x) or math.lcm(*filter(None, row_x))
+            except TypeError:
+                # Fractions, as a Kernel holds them: scan the integer rows
+                (rows,), _ = integer_rows(field, rows)
+                return _vanishing_quad(field, rows, first)
+            inv_x = [lcm // a if a else 0 for a in row_x]
+        zeros_x = [c for c, a in enumerate(row_x)
+                   if not a and c != x] if 0 in row_x else ()
+        for w in range(x + 1, n):
+            row_w = rows[w]
+            if table:
+                keys = list(map(getitem, inv_x, row_w))
+            elif p:
+                keys = [b * i % p for b, i in zip(row_w, inv_x)]
+            else:
+                keys = [b * i for b, i in zip(row_w, inv_x)]
+            wild = []
+            for c in zeros_x:
+                if row_w[c]:
+                    keys[c] = math.inf
+                elif c != w:
+                    keys[c] = _WILD
+                    wild.append(c)
+            keys[x], keys[w] = _X, _W
+            if wild or len(set(keys)) < n:
+                if first:
+                    return x, w
+                quad = (x, *_least_pair(keys, x, w, wild), w)
+                if best is None or quad < best:
+                    best = quad
+        if best is not None:
+            return best
     return None
+
+
+_RATIO_TABLE_MAX = 128   # a table of all p^2 ratios up to this field size
+
+
+@functools.lru_cache(maxsize=None)
+def _ratio_table(p):
+    """table[a][b] = b / a in GF(p), the key of a column (a, b) on rows
+    x, w; row a = 0 only holds places, as zero columns are keyed apart."""
+    return tuple(tuple(b * pow(a, -1, p) % p if a else None
+                       for b in range(p)) for a in range(p))
+
+
+def _least_pair(keys, x, w, wild):
+    """The least columns y < z outside {x, w} whose keys collide, or of
+    which one is wild; the row pair must have such a pair."""
+    cols = [c for c in range(len(keys)) if c != x and c != w]
+    y = cols[0]
+    if wild:
+        # a wild column collides with every other: the least column has a
+        # later partner, the next column if it is wild itself
+        if y == wild[0]:
+            return y, cols[1]
+        return y, min(wild[0], next((c for c in cols if c > y
+                                     and keys[c] == keys[y]), wild[0]))
+    first = {}
+    pairs = {}
+    for c in cols:
+        key = keys[c]
+        if key in first:
+            pairs.setdefault(key, (first[key], c))
+        else:
+            first[key] = c
+    return min(pairs.values())
 
 
 def check_class_d(k):
     """Scan all off-diagonal cross minors, reporting the least vanishing one."""
-    (rows,), _ = integer_rows(k.field, k.rows)
-    quad = _vanishing_quad(k.field, rows)
+    quad = _vanishing_quad(k.field, k.rows)
     if quad is None:
         return ClassDReport(True)
     return ClassDReport(False, quad, tuple(k.labels[i] for i in quad))
 
 
 def class_d_ok(field, rows):
-    """The scan's verdict alone, on a raw entry matrix."""
-    return _vanishing_quad(field, rows) is None
+    """The scan's verdict alone, on a matrix of field values (over Q, ints
+    will do); it stops at the first row pair with dependent columns."""
+    return _vanishing_quad(field, rows, first=True) is None
 
 
 @dataclass(frozen=True)

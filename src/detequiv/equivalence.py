@@ -45,18 +45,19 @@ same product of D_i over S on both sides, and a difference survives the
 scaling exactly when it was there before.  The witness minors are computed
 in field values.
 
-Once orders 1-3 agree, at every cap, the pair is offered a certificate: the
+Once orders 1-2 agree, at every cap, the pair is offered a certificate: the
 gauge that carries k, or kᵀ, onto q entry by entry.  Gauge conjugation and
 the flip preserve every principal minor, so a certificate that re-checks
 proves that all minors agree; it cannot pass on a pair that differs
-anywhere, so trying it before order 4 hides no witness.  ``certify`` solves
+anywhere, so trying it before order 3 hides no witness.  ``certify`` solves
 by propagation along nonzero entries; with matching zero layouts a gauge is
 fixed up to one constant per connected component of the nonzero pattern,
-so the solve misses no certificate.  It re-checks q(i,j) g(j) = g(i) t(i,j)
-on the integer rows the scan already holds, with the gauge scaled to
-integers over Q, and stops at the first entry that fails; no conjugated
-kernel is built.  Only a pair without a certificate reaches order 4 and
-the walk, and only such a pair meets the guard on the walk's size.
+so the solve misses no certificate.  Both the solve and the re-check of
+q(i,j) g(j) = g(i) t(i,j) run on the integer rows the scan already holds,
+kᵀ's rows being k's columns, and the re-check stops at the first entry
+that fails; no transposed or conjugated kernel is built.  Only a pair
+without a certificate pays for the 3-cycle and 4-cycle sums and the walk,
+and only such a pair meets the guard on the walk's size.
 """
 
 from __future__ import annotations
@@ -64,6 +65,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .fields import _det_int_bareiss, _det_prime, integer_rows
 from .kernels import Cycle, Gauge, require_same_points
@@ -125,9 +127,9 @@ def check_equivalence(k, q, max_order=None):
     1-4 are compared by closed form, in order of cardinality and then
     lexicographically, which is exact because the scan reaches an order
     only after every smaller subset has agreed.  At every cap, a pair that
-    agrees up to order 3 is then offered the certificate (``certify``); one
+    agrees up to order 2 is then offered the certificate (``certify``); one
     that re-checks proves every minor equal and is the report's
-    ``certificate``.  Otherwise order 4 follows, and orders 5 and up come
+    ``certificate``.  Otherwise orders 3 and 4 follow, and orders 5 and up come
     from one walk of bordered minors, updated by Sylvester's identity and
     eliminated afresh below a zero pivot; its preorder meets each order's
     subsets lexicographically (module docstring).  The walk is refused
@@ -141,14 +143,15 @@ def check_equivalence(k, q, max_order=None):
     if type(cap) is not int or not 1 <= cap <= n:
         raise ValueError(f"max_order must be an integer in [1, {n}], "
                          f"got {max_order!r}")
-    (kr, qr), scales = integer_rows(k.field, k.rows, q.rows)
+    rows = integer_rows(k.field, k.rows, q.rows)
+    (kr, qr), _ = rows
     orders = range(1, min(cap, 4) + 1)
-    witness = next(_drift(k.field, kr, qr, orders[:3]), None)
+    witness = next(_drift(k.field, kr, qr, orders[:2]), None)
     if witness is None:
-        found = _certify(k, q, kr, qr, scales)
+        found = _certify(k, q, rows)
         if found is not None:
             return EquivalenceReport(True, cap, certificate=found)
-        witness = next(_drift(k.field, kr, qr, orders[3:]), None)
+        witness = next(_drift(k.field, kr, qr, orders[2:]), None)
     if witness is None and cap >= 5:
         subsets = sum(math.comb(n, r) for r in range(1, cap + 1))
         if subsets > _SCAN_GUARD:
@@ -167,7 +170,8 @@ def certify(k, q):
     Returns (transposed, gauge, base_label) with q = g t g^(-1), where t
     is k, or kᵀ when transposed; the direct framework is tried first.  The
     gauge is 1 at base_label, the smallest label, and is pushed from there
-    along nonzero entries (``_propagate_gauge``).  It passes when
+    along nonzero entries of the integer rows (``_propagate_gauge``).  It
+    passes when
     q(i,j) g(j) = g(i) t(i,j) at every (i, j), the diagonal included.
     That is tested on kr and qr, the integer rows of the minor scan
     (``fields.integer_rows``), and given up at the first entry that fails;
@@ -183,17 +187,16 @@ def certify(k, q):
     ``certificate``.
     """
     require_same_points(k, q)
-    (kr, qr), scales = integer_rows(k.field, k.rows, q.rows)
-    return _certify(k, q, kr, qr, scales)
+    return _certify(k, q, integer_rows(k.field, k.rows, q.rows))
 
 
-def _certify(k, q, kr, qr, scales):
-    """``certify`` on the integer rows kr, qr of k and q and their row
-    scales, as ``fields.integer_rows`` returns them."""
+def _certify(k, q, rows):
+    """``certify`` on rows = ((kr, qr), scales), the integer rows of k and
+    q and their row scales, as ``fields.integer_rows`` returns them."""
     base = min(range(k.n), key=lambda i: k.labels[i])
+    (kr, qr), scales = rows
     for transposed in (False, True):
-        target = k.transpose() if transposed else k
-        gauge = _propagate_gauge(target, q, base)
+        gauge = _propagate_gauge(k, q, base, transposed, rows)
         if gauge is not None and _rechecks(k.field, gauge.values, kr, qr,
                                            scales, transposed):
             return transposed, gauge, k.labels[base]
@@ -220,42 +223,63 @@ def _rechecks(field, values, kr, qr, scales, transposed):
     return True
 
 
-def _propagate_gauge(target, q, base):
-    """Solve q = g t g^(-1) by pushing g along nonzero entries.
+def _propagate_gauge(k, q, base, transposed=False, rows=None):
+    """Solve q = g t g^(-1), t = k or kᵀ when transposed, by pushing g
+    along nonzero entries.
 
-    Returns None unless the zero layouts match; otherwise fixes g = 1 at
-    the base point and at each later root the base cannot reach, and
-    pushes g across every nonzero entry (in either direction).  A cycle
-    that disagrees is left for the re-check to catch.
+    Returns None unless the zero layouts of t and q match; otherwise fixes
+    g = 1 at the base point and at each later root the base cannot reach,
+    and pushes g across every nonzero entry (in either direction).  A
+    cycle that disagrees is left for the re-check to catch.
+
+    The solve runs on rows = ((kr, qr), scales), the integer rows of k and
+    q (``fields.integer_rows``, built here when not given), with D the
+    row scales, so q(i,j) = qr(i,j) / D_i.  Directly t(i,j) = kr(i,j) / D_i
+    and the scales cancel: g(j) = g(i) t(i,j) / q(i,j) = g(i) kr(i,j) /
+    qr(i,j).  Flipped, t(i,j) = kr(j,i) / D_j, read off kr's columns, so
+    g(j) = g(i) kr(j,i) D_i / (qr(i,j) D_j).  The push from
+    q(j,i) = g(j) t(j,i) / g(i) carries the same factor D_i / D_j.
+    Over GF(p) the scales are 1.
     """
-    field = target.field
-    t_rows, q_rows = target.rows, q.rows
+    field = k.field
+    (kr, qr), scales = rows or integer_rows(field, k.rows, q.rows)
+    t_rows = list(zip(*kr)) if transposed else kr
     n = len(t_rows)
-    zero = field.is_zero
-    if any(zero(t_rows[i][j]) != zero(q_rows[i][j])
-           for i in range(n) for j in range(n)):
+    if any((not t) != (not u)
+           for t_row, q_row in zip(t_rows, qr) for t, u in zip(t_row, q_row)):
         return None
+    if field.kind == "prime":
+        p = field.p
+
+        def push(gi, num, den, i, j):
+            return gi * num * pow(den, -1, p) % p
+        one = 1
+    else:
+        s = scales if transposed else [1] * n
+
+        def push(gi, num, den, i, j):
+            return Fraction(gi.numerator * num * s[i],
+                            gi.denominator * den * s[j])
+        one = Fraction(1)
     g = [None] * n
     order = [base] + [i for i in range(n) if i != base]
     for root in order:
         if g[root] is not None:
             continue
-        g[root] = field.one
+        g[root] = one
         stack = [root]
         while stack:
             i = stack.pop()
             for j in range(n):
                 if g[j] is not None or i == j:
                     continue
-                if not zero(t_rows[i][j]):
-                    # q(i,j) = g(i) t(i,j) / g(j)
-                    g[j] = field.div(field.mul(g[i], t_rows[i][j]), q_rows[i][j])
+                if t_rows[i][j]:
+                    g[j] = push(g[i], t_rows[i][j], qr[i][j], i, j)
                     stack.append(j)
-                elif not zero(t_rows[j][i]):
-                    # q(j,i) = g(j) t(j,i) / g(i)
-                    g[j] = field.div(field.mul(q_rows[j][i], g[i]), t_rows[j][i])
+                elif t_rows[j][i]:
+                    g[j] = push(g[i], qr[j][i], t_rows[j][i], i, j)
                     stack.append(j)
-    return Gauge(field, target.labels, g)
+    return Gauge(field, k.labels, g)
 
 
 def _integer_pair(k, q):

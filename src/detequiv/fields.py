@@ -13,7 +13,7 @@ from fractions import Fraction
 
 MAX_PRIME = 2**31
 
-_RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?\Z")
+_RATIONAL_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?\Z")
 _INTEGER_RE = re.compile(r"[+-]?\d+\Z")
 
 
@@ -80,14 +80,15 @@ class Rationals:
 
     def parse(self, text):
         """Accept "a" or "a/b" with decimal digits and an optional sign."""
-        if not isinstance(text, str) or not _RATIONAL_RE.match(text):
+        match = _RATIONAL_RE.match(text) if isinstance(text, str) else None
+        if match is None:
             raise ValueError(f"bad rational literal: {text!r}")
-        if "/" in text:
-            num, den = text.split("/")
-            if int(den) == 0:
-                raise ValueError(f"zero denominator: {text!r}")
-            return Fraction(int(num), int(den))
-        return Fraction(int(text))
+        num, den = match.groups()
+        if den is None:
+            return Fraction(int(num))
+        if int(den) == 0:
+            raise ValueError(f"zero denominator: {text!r}")
+        return Fraction(int(num), int(den))
 
     def format(self, value):
         return str(value)

@@ -63,6 +63,12 @@ class Kernel:
     __slots__ = ("field", "labels", "rows", "_index")
 
     def __init__(self, field, labels, rows):
+        rows = list(rows)
+        self._shape(field, labels, rows)
+        self.rows = tuple(tuple(field.coerce(v) for v in row) for row in rows)
+
+    def _shape(self, field, labels, rows):
+        """Check the labels and the shape of rows, and set all but rows."""
         labels = tuple(labels)
         if not labels:
             raise ValueError("a kernel needs at least one point")
@@ -72,12 +78,10 @@ class Kernel:
         if len(set(labels)) != len(labels):
             raise ValueError("duplicate labels")
         n = len(labels)
-        rows = list(rows)
         if len(rows) != n or any(len(row) != n for row in rows):
             raise ValueError(f"entries must form an {n} x {n} matrix")
         self.field = field
         self.labels = labels
-        self.rows = tuple(tuple(field.coerce(v) for v in row) for row in rows)
         self._index = {lab: i for i, lab in enumerate(labels)}
 
     @property
@@ -161,8 +165,12 @@ class Kernel:
         if not isinstance(entries, list) or not all(
                 isinstance(row, list) for row in entries):
             raise ValueError("entries must be a list of rows")
-        rows = [[field.parse(cell) for cell in row] for row in entries]
-        return cls(field, labels, rows)
+        # parse yields field values already, so they are not coerced again
+        rows = tuple(tuple(map(field.parse, row)) for row in entries)
+        kern = cls.__new__(cls)
+        kern._shape(field, labels, rows)
+        kern.rows = rows
+        return kern
 
     def __eq__(self, other):
         return (isinstance(other, Kernel) and other.field == self.field

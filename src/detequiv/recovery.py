@@ -4,14 +4,16 @@ Two kernels are related by the paper's canonical transformations when
 Q = g K g⁻¹ for a nowhere-zero gauge g, directly or after the flip K -> Kᵀ;
 the flipped case is the direct one run on the transpose.  ``recover``
 makes one ``equivalence.check_equivalence`` call, which compares minors up
-to order three and then tries ``equivalence.certify``: g solved by
-propagation along nonzero entries, then re-checked entry by entry on the
-scan's integer rows, with no conjugated kernel built, up to the first
-entry that fails.  The solve is complete: with matching zero layouts a
-gauge is fixed up to one constant per connected component of the nonzero
-pattern.  Gauge and flip preserve every principal minor, so a certificate
-that re-checks proves equivalence, and the same call compares higher
-minors only to refute.
+to order two and then tries ``equivalence.certify``: g solved by
+propagation along nonzero entries of the scan's integer rows, then
+re-checked entry by entry on them up to the first entry that fails, with
+no transposed or conjugated kernel built.  The solve is complete: with
+matching zero layouts a gauge is fixed up to one constant per connected
+component of the nonzero pattern.  Gauge and flip preserve every principal
+minor, so a certificate that re-checks proves equivalence, and the same
+call compares higher minors only to refute.  A positive thus costs O(n^2)
+for the minors and the certificate, plus the O(n^3) row-pair scan of k for
+property D (``classd.check_class_d``).
 
 The paper's constructive route, the ratio table with its cocycle laws, is
 kept as the reference the tests compare against: whenever the table passes
@@ -225,7 +227,7 @@ def recover(k, q):
 
     Pipeline: one ``check_equivalence`` call, which tries the certificate
     (the propagated gauge, re-checked entry by entry, on k and then on kᵀ)
-    once the minors agree up to order three.  A certificate is returned
+    once the minors agree up to order two.  A certificate is returned
     once k passes the nondegeneracy scan (from n = 4 on); q's verdict is
     k's, since a gauge scales each cross minor by a unit and the flip maps
     cross minors to cross minors.  Without one, the same call's witness

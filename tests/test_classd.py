@@ -1,7 +1,8 @@
 """Nondegeneracy scan, zero-pattern rules, and edge-pattern classification.
 
 The scan verdict and its witness are checked against a brute-force sweep over
-every ordered quadruple of pairwise-distinct points.
+every ordered quadruple of pairwise-distinct points, and against the quartic
+loop the row-pair scan replaced.
 """
 
 import itertools
@@ -23,7 +24,7 @@ from detequiv.classd import (
     zero_pattern_validate,
 )
 from detequiv.errors import ProblematicPair
-from detequiv.fields import PrimeField, Rationals
+from detequiv.fields import PrimeField, Rationals, integer_rows
 from detequiv.kernels import Gauge, Kernel
 
 Q = Rationals()
@@ -139,6 +140,145 @@ def test_scan_matches_fraction_loop_on_wide_denominators():
         assert (rep.holds, rep.witness) == (ref is None, ref)
         held += rep.holds
     assert 0 < held < 300
+
+
+def _quartic_reference(field, rows):
+    """The scan as it was before the row-pair scan: the first (x, y, z, w)
+    with x < w and y < z, in lexicographic order, whose cross minor
+    vanishes on the integer rows."""
+    (rows,), _ = integer_rows(field, rows)
+    p = field.p if field.kind == "prime" else 0
+    n = len(rows)
+    for x in range(n):
+        for y in range(n):
+            if y == x:
+                continue
+            for z in range(y + 1, n):
+                if z == x:
+                    continue
+                for w in range(x + 1, n):
+                    if w != y and w != z:
+                        d = rows[x][y] * rows[w][z] - rows[x][z] * rows[w][y]
+                        if (d % p if p else d) == 0:
+                            return (x, y, z, w)
+    return None
+
+
+def _assert_scan_matches_quartic(k):
+    ref = _quartic_reference(k.field, k.rows)
+    rep = check_class_d(k)
+    assert (rep.holds, rep.witness) == (ref is None, ref), (k.field, k.rows)
+    assert class_d_ok(k.field, k.rows) is (ref is None)
+    if k.field.kind == "rational" and all(v.denominator == 1
+                                          for row in k.rows for v in row):
+        # gen hands class_d_ok raw ints over Q
+        ints = [[int(v) for v in row] for row in k.rows]
+        assert class_d_ok(k.field, ints) is (ref is None)
+    return ref
+
+
+def _cauchy_with_matching_zeros(rng, field, n, zeros, stray):
+    """u_i v_j / (a_i - b_j) off the diagonal, with distinct a's and b's,
+    and zero edges on `zeros` disjoint pairs of points (one way or both),
+    which keeps property D; with stray set, two zeros in one row break
+    it."""
+    points = rng.sample(range(1, 50), 2 * n)   # a_i - b_j < 101
+
+    def unit():
+        if field.kind == "prime":
+            return rng.randrange(1, field.p)
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 99),
+                        rng.randint(1, 99))
+    a, b = points[:n], [-x for x in points[n:]]
+    u = [unit() for _ in range(n)]
+    v = [unit() for _ in range(n)]
+    rows = [[(unit() if rng.random() < 0.5 else field.zero) if i == j
+             else field.div(field.mul(u[i], v[j]), field.coerce(a[i] - b[j]))
+             for j in range(n)] for i in range(n)]
+    chosen = rng.sample(range(n), 2 * zeros)
+    for t in range(zeros):
+        x, y = chosen[2 * t], chosen[2 * t + 1]
+        rows[x][y] = field.zero
+        if rng.random() < 0.5:
+            rows[y][x] = field.zero
+    if stray:
+        x, y, z = rng.sample(range(n), 3)
+        rows[x][y] = rows[x][z] = field.zero
+    return Kernel(field, [str(i + 1) for i in range(n)], rows)
+
+
+def test_scan_matches_quartic_loop_on_cauchy_kernels():
+    # Cauchy kernels have every square submatrix nonsingular, so they have
+    # property D whatever zeros a matching adds; two zeros in a row break it
+    rng = random.Random(417)
+    seen = set()
+    for field in (PrimeField(101), PrimeField(1000003), Q):
+        for n in range(4, 13):
+            for zeros in range(n // 2 + 1):
+                for stray in (False, True):
+                    k = _cauchy_with_matching_zeros(rng, field, n, zeros,
+                                                    stray)
+                    ref = _assert_scan_matches_quartic(k)
+                    assert (ref is None) is not stray
+                    seen.add((field, stray))
+    assert len(seen) == 6
+
+
+def test_scan_matches_quartic_loop_on_zero_heavy_kernels():
+    # GF(131) is past the fields whose ratios the scan tabulates
+    rng = random.Random(418)
+    verdicts = set()
+    fields = (PrimeField(2), PrimeField(3), F7, PrimeField(131), Q)
+    for field in fields:
+        for n in range(1, 10):
+            for _ in range(30):
+                share = rng.choice((0.3, 0.5, 0.7, 0.9))
+                if field.kind == "prime":
+                    rows = [[0 if rng.random() < share
+                             else rng.randrange(1, field.p)
+                             for _ in range(n)] for _ in range(n)]
+                else:
+                    # integer kernels half the time, as gen draws them
+                    den = rng.choice((1, 3))
+                    rows = [[0 if rng.random() < share else
+                             Fraction(rng.choice((-1, 1)) * rng.randint(1, 6),
+                                      rng.randint(1, den))
+                             for _ in range(n)] for _ in range(n)]
+                k = Kernel(field, [str(i + 1) for i in range(n)], rows)
+                verdicts.add((field, n >= 4,
+                              _assert_scan_matches_quartic(k) is None))
+    # below four points every kernel holds; from four on both verdicts
+    # occur, but for GF(2), whose only unit makes such draws degenerate
+    assert verdicts == {(field, big, held)
+                        for field in fields
+                        for big, held in ((False, True), (True, False),
+                                          (True, True))
+                        if (field, big, held) != (PrimeField(2), True, True)}
+
+
+def test_scan_finds_a_planted_quadruple_at_twenty_four_points():
+    rng = random.Random(419)
+    for field in (PrimeField(1000003), Q):
+        for _ in range(3):
+            n = 24
+            if field.kind == "prime":
+                rows = [[rng.randrange(1, field.p) for _ in range(n)]
+                        for _ in range(n)]
+            else:
+                rows = [[Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6))
+                         for _ in range(n)] for _ in range(n)]
+            k = Kernel(field, [str(i + 1) for i in range(n)], rows)
+            held = _assert_scan_matches_quartic(k)
+            x, w = sorted(rng.sample(range(n), 2))
+            y, z = sorted(rng.sample([c for c in range(n)
+                                      if c not in (x, w)], 2))
+            rows = [list(r) for r in k.rows]
+            rows[w][z] = field.div(field.mul(rows[x][z], rows[w][y]),
+                                   rows[x][y])
+            planted = Kernel(field, k.labels, rows)
+            witness = _assert_scan_matches_quartic(planted)
+            assert witness is not None and witness <= (x, y, z, w)
+            assert held is None or held <= witness
 
 
 def test_verdict_invariant_under_conjugation_and_flip():

@@ -246,7 +246,7 @@ def test_rigidity_contradiction_exits_three(tmp_path, monkeypatch, capsys):
     kp, qp, k, q, _ = _gen_pair_files(tmp_path)
 
     monkeypatch.setattr("detequiv.equivalence._propagate_gauge",
-                        lambda target, q, base: None)
+                        lambda *args: None)
     with pytest.raises(VerificationFailed, match="rigidity theorem"):
         recover(k, q)
     out = tmp_path / "report.json"

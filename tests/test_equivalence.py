@@ -618,30 +618,49 @@ def test_certificate_never_proves_a_negative():
 
 
 def test_certified_positive_computes_no_order_four_term(monkeypatch):
-    # the certificate comes right after order 3; only a pair without one
-    # pays for the C(n, 4) four-cycle sums
-    terms = []
-    four = equivalence._CYCLE_TERMS[4]
+    # the certificate comes right after order 2; only a pair without one
+    # pays for the C(n, 3) three-cycle and C(n, 4) four-cycle sums.  The
+    # flipped solve reads k's columns, with no transposed Kernel built
+    terms = {3: [], 4: []}
 
-    def counting(rows, s):
-        terms.append(s)
-        return four(rows, s)
+    def counting(order):
+        term = equivalence._CYCLE_TERMS[order]
+
+        def count(rows, s):
+            terms[order].append(s)
+            return term(rows, s)
+        return count
 
     monkeypatch.setattr(equivalence, "_CYCLE_TERMS",
-                        (*equivalence._CYCLE_TERMS[:4], counting))
+                        (*equivalence._CYCLE_TERMS[:3], counting(3),
+                         counting(4)))
     rng = random.Random(412)
+    pairs = []
     for field in (PrimeField(101), Q):
         k = _zero_edged_kernel(rng, field, 8, 1)
         gauge = Gauge(field, k.labels,
                       [_wide_value(rng, field, unit=True) for _ in range(8)])
         for transposed in (False, True):
-            q = (k.transpose() if transposed else k).conjugate(gauge)
-            rep = check_equivalence(k, q)
-            assert rep.equivalent
-            assert rep.certificate[0] is transposed
-    assert terms == []
+            pairs.append((k, (k.transpose() if transposed else k)
+                          .conjugate(gauge), transposed))
+    transposes = []
+    transpose = Kernel.transpose
+
+    def counting_transpose(self):
+        transposes.append(self)
+        return transpose(self)
+
+    monkeypatch.setattr(Kernel, "transpose", counting_transpose)
+    for k, q, transposed in pairs:
+        rep = check_equivalence(k, q)
+        assert rep.equivalent
+        assert rep.certificate[0] is transposed
+    assert terms == {3: [], 4: []}
+    assert transposes == []
     assert check_equivalence(*_five_cycle_pair(10)).equivalent
-    assert len(terms) == 2 * 210   # both kernels on every 4-subset
+    # both kernels on every 3-subset and every 4-subset
+    assert (len(terms[3]), len(terms[4])) == (2 * 120, 2 * 210)
+    assert transposes == []
 
 
 # ---------------- the certificate's re-check, against the conjugated kernel

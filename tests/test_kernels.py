@@ -137,6 +137,35 @@ def test_kernel_doc_round_trip():
         Kernel.from_doc({"labels": ["a"], "entries": [["1"]]})
 
 
+def test_from_doc_converts_each_cell_once(monkeypatch):
+    # parse already yields field values, so from_doc coerces none of them
+    # again; its errors come in the same order as before: a bad cell first,
+    # then the labels, then the shape
+    rng = random.Random(8)
+    kernels = [_random_kernel(rng, field, 4)
+               for field in (Q, F7, PrimeField(1000003))]
+    docs = [k.to_doc() for k in kernels]
+    calls = []
+    for cls in (Rationals, PrimeField):
+        coerce = cls.coerce
+        monkeypatch.setattr(cls, "coerce", lambda self, v, coerce=coerce: (
+            calls.append(v), coerce(self, v))[1])
+    assert [Kernel.from_doc(doc) for doc in docs] == kernels
+    assert calls == []
+    errors = []
+    for labels, entries in ((["a", "a"], [["1", "x"], ["1", "1"]]),
+                            (["a", "a"], [["1", "1"], ["1", "1"]]),
+                            (["a", "b"], [["1", "1"], ["1"]]),
+                            (["a", "b"], [["1", "1/0"], ["1"]])):
+        with pytest.raises(ValueError) as info:
+            Kernel.from_doc({"field": {"kind": "rational"}, "labels": labels,
+                             "entries": entries})
+        errors.append(str(info.value))
+    assert errors == ["bad rational literal: 'x'", "duplicate labels",
+                      "entries must form an 2 x 2 matrix",
+                      "zero denominator: '1/0'"]
+
+
 def test_principal_minor_against_direct_determinant():
     k = Kernel(Q, ["1", "2", "3"],
                [[1, 2, 3], [4, 5, 6], [7, 8, 10]])

@@ -2,7 +2,7 @@
 
 Conjugating by a gauge and transposing both preserve every principal minor,
 so a certificate that passes the entrywise re-check proves equivalence.
-recover compares the minors up to order three, solves, and scans the higher
+recover compares the minors up to order two, solves, and scans the higher
 orders only after both solves fail; the tests below pin that, and that the
 verdicts still match the order in which the full scan came first.
 """
@@ -204,6 +204,13 @@ def _pipeline_cases():
                 if rows[i][j] and rows[j][i])
     rows[i][j] = F101.mul(rows[i][j], 2)
     yield "order-2", k, Kernel(F101, k.labels, rows), 2, 0
+    # swap a pair of nonzero entries: diagonals and pair products stay, the
+    # zero layouts match, and a 3-cycle sum through the pair moves
+    rows = [list(r) for r in q.rows]
+    i, j = next((i, j) for i, j in itertools.combinations(range(7), 2)
+                if rows[i][j] and rows[j][i] and rows[i][j] != rows[j][i])
+    rows[i][j], rows[j][i] = rows[j][i], rows[i][j]
+    yield "order-3", k, Kernel(F101, k.labels, rows), 3, 2
     yield "order-4", *_swapped_pair(20261018, False), 4, 2
     k = _swapped_pair(20261018, True)[0]
     q = k.conjugate(Gauge(BIG, k.labels, range(1, 7)))
@@ -217,7 +224,8 @@ def _pipeline_cases():
                          ids=lambda case: case[0])
 def test_recover_runs_one_pipeline(pipeline_calls, case):
     # one check_equivalence call decides every outcome, with at most two
-    # gauge solves, and none before orders 1-3 agree
+    # gauge solves, and none before orders 1-2 agree; a refutation keeps
+    # the witness of the plain scan
     _, k, q, outcome, solves = case
     if outcome == "ok":
         assert recover(k, q).transposed is (solves == 2)
@@ -225,6 +233,7 @@ def test_recover_runs_one_pipeline(pipeline_calls, case):
         with pytest.raises(NotEquivalent) as info:
             recover(k, q)
         assert len(info.value.subset) == outcome
+        assert info.value.subset == _plain_report(k, q, k.n).witness_subset
     else:
         with pytest.raises(outcome):
             recover(k, q)
