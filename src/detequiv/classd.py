@@ -27,10 +27,8 @@ without a Fraction operation.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from operator import getitem
 
 from .errors import ProblematicPair
 from .fields import integer_rows
@@ -62,41 +60,32 @@ def _vanishing_quad(field, rows, first=False):
     others swap the rows or the columns of the same minor.
 
     Row x is inverted once for all its row pairs.  Over GF(p), entries in
-    [0, p), each inverse is computed once per value, and fields of at most
-    _RATIO_TABLE_MAX elements, where ``lab.gen_instance`` samples by
-    rejection, look the keys up in ``_ratio_table``.  Over Q an integer
-    row's inverses are L // a, L the lcm of its nonzero entries.
-    Fractions are scaled to integers (module docstring) once a row x holds
-    one; a Fraction in a row w before then still gives an exact key.
+    [0, p), each inverse is computed once per value.  Over Q, rows of
+    Fractions are scaled to integers first (module docstring), and rows of
+    ints, as ``lab.gen_instance`` draws them, are scanned as they are; one
+    entry's type tells the two apart.  An integer row's inverses are
+    L // a, L the lcm of its nonzero entries.
     """
     n = len(rows)
     if n < 4:
         return None
     p = field.p if field.kind == "prime" else None
-    table = _ratio_table(p) if p and p <= _RATIO_TABLE_MAX else None
-    cache = {0: 0}   # inverses in a field past the table, by value
+    if not p and type(rows[0][0]) is not int:
+        (rows,), _ = integer_rows(field, rows)
+    cache = {0: 0}   # inverses over GF(p), by value
     best = None
     for x, row_x in enumerate(rows):
-        if table:
-            inv_x = list(map(table.__getitem__, row_x))   # ratios by column
-        elif p:
+        if p:
             inv_x = [cache[v] if v in cache
                      else cache.setdefault(v, pow(v, -1, p)) for v in row_x]
         else:
-            try:
-                lcm = math.lcm(*row_x) or math.lcm(*filter(None, row_x))
-            except TypeError:
-                # Fractions, as a Kernel holds them: scan the integer rows
-                (rows,), _ = integer_rows(field, rows)
-                return _vanishing_quad(field, rows, first)
+            lcm = math.lcm(*row_x) or math.lcm(*filter(None, row_x))
             inv_x = [lcm // a if a else 0 for a in row_x]
         zeros_x = [c for c, a in enumerate(row_x)
                    if not a and c != x] if 0 in row_x else ()
         for w in range(x + 1, n):
             row_w = rows[w]
-            if table:
-                keys = list(map(getitem, inv_x, row_w))
-            elif p:
+            if p:
                 keys = [b * i % p for b, i in zip(row_w, inv_x)]
             else:
                 keys = [b * i for b, i in zip(row_w, inv_x)]
@@ -117,17 +106,6 @@ def _vanishing_quad(field, rows, first=False):
         if best is not None:
             return best
     return None
-
-
-_RATIO_TABLE_MAX = 128   # a table of all p^2 ratios up to this field size
-
-
-@functools.lru_cache(maxsize=None)
-def _ratio_table(p):
-    """table[a][b] = b / a in GF(p), the key of a column (a, b) on rows
-    x, w; row a = 0 only holds places, as zero columns are keyed apart."""
-    return tuple(tuple(b * pow(a, -1, p) % p if a else None
-                       for b in range(p)) for a in range(p))
 
 
 def _least_pair(keys, x, w, wild):
@@ -162,8 +140,8 @@ def check_class_d(k):
 
 
 def class_d_ok(field, rows):
-    """The scan's verdict alone, on a matrix of field values (over Q, ints
-    will do); it stops at the first row pair with dependent columns."""
+    """The scan's verdict alone, on a matrix of field values, or over Q of
+    ints alone; it stops at the first row pair with dependent columns."""
     return _vanishing_quad(field, rows, first=True) is None
 
 

@@ -223,7 +223,7 @@ def _rechecks(field, values, kr, qr, scales, transposed):
     return True
 
 
-def _propagate_gauge(k, q, base, transposed=False, rows=None):
+def _propagate_gauge(k, q, base, transposed, rows):
     """Solve q = g t g^(-1), t = k or kᵀ when transposed, by pushing g
     along nonzero entries.
 
@@ -233,16 +233,16 @@ def _propagate_gauge(k, q, base, transposed=False, rows=None):
     cycle that disagrees is left for the re-check to catch.
 
     The solve runs on rows = ((kr, qr), scales), the integer rows of k and
-    q (``fields.integer_rows``, built here when not given), with D the
-    row scales, so q(i,j) = qr(i,j) / D_i.  Directly t(i,j) = kr(i,j) / D_i
-    and the scales cancel: g(j) = g(i) t(i,j) / q(i,j) = g(i) kr(i,j) /
-    qr(i,j).  Flipped, t(i,j) = kr(j,i) / D_j, read off kr's columns, so
+    q (``fields.integer_rows``), with D the row scales, so
+    q(i,j) = qr(i,j) / D_i.  Directly t(i,j) = kr(i,j) / D_i and the
+    scales cancel: g(j) = g(i) t(i,j) / q(i,j) = g(i) kr(i,j) / qr(i,j).
+    Flipped, t(i,j) = kr(j,i) / D_j, read off kr's columns, so
     g(j) = g(i) kr(j,i) D_i / (qr(i,j) D_j).  The push from
     q(j,i) = g(j) t(j,i) / g(i) carries the same factor D_i / D_j.
     Over GF(p) the scales are 1.
     """
     field = k.field
-    (kr, qr), scales = rows or integer_rows(field, k.rows, q.rows)
+    (kr, qr), scales = rows
     t_rows = list(zip(*kr)) if transposed else kr
     n = len(t_rows)
     if any((not t) != (not u)

@@ -672,7 +672,9 @@ def _plain_certify(k, q):
     base = min(range(k.n), key=lambda i: k.labels[i])
     for transposed in (False, True):
         target = k.transpose() if transposed else k
-        gauge = equivalence._propagate_gauge(target, q, base)
+        gauge = equivalence._propagate_gauge(
+            target, q, base, False,
+            integer_rows(target.field, target.rows, q.rows))
         if gauge is not None and target.conjugate(gauge).rows == q.rows:
             return transposed, gauge, k.labels[base]
     return None
@@ -727,7 +729,9 @@ def test_integer_recheck_matches_conjugation():
                     (kr, qr), scales = integer_rows(field, k.rows, q.rows)
                     want_proof = None
                     for transposed, target in targets:
-                        solved = equivalence._propagate_gauge(target, q, 0)
+                        solved = equivalence._propagate_gauge(
+                            target, q, 0, False,
+                            integer_rows(field, target.rows, q.rows))
                         gauges = [solved] + [built] * (transposed is flip)
                         for gauge in gauges:
                             if gauge is None:

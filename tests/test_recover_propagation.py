@@ -17,7 +17,7 @@ import pytest
 from detequiv.classd import check_class_d
 from detequiv.equivalence import _propagate_gauge
 from detequiv.errors import BranchUnavailable
-from detequiv.fields import PrimeField, Rationals
+from detequiv.fields import PrimeField, Rationals, integer_rows
 from detequiv.kernels import Gauge, Kernel
 from detequiv.lab import InstanceSpec, _place_zeros, gen_instance, perturb
 from detequiv.recovery import (
@@ -52,7 +52,8 @@ def _assert_solves_agree(target, q, base):
     lacks property D, and recover refuses it either way.  Returns which of
     these held: "table", "degenerate" or "neither".
     """
-    gauge = _propagate_gauge(target, q, base)
+    gauge = _propagate_gauge(target, q, base, False,
+                             integer_rows(target.field, target.rows, q.rows))
     try:
         cocycle = build_cocycle_case1(target, q)
     except BranchUnavailable:
