@@ -52,12 +52,14 @@ proves that all minors agree; it cannot pass on a pair that differs
 anywhere, so trying it before order 3 hides no witness.  ``certify`` solves
 by propagation along nonzero entries; with matching zero layouts a gauge is
 fixed up to one constant per connected component of the nonzero pattern,
-so the solve misses no certificate.  Both the solve and the re-check of
-q(i,j) g(j) = g(i) t(i,j) run on the integer rows the scan already holds,
-kᵀ's rows being k's columns, and the re-check stops at the first entry
-that fails; no transposed or conjugated kernel is built.  Only a pair
-without a certificate pays for the 3-cycle and 4-cycle sums and the walk,
-and only such a pair meets the guard on the walk's size.
+so the solve misses no certificate.  Both frameworks are one problem on
+the integer rows the scan already holds, kr = D k and qr = D q: q = g k g⁻¹
+is qr = g kr g⁻¹, and since krᵀ = kᵀ D, q = g kᵀ g⁻¹ is qr = h krᵀ h⁻¹
+with h = D g.  So the solve and the re-check of qr(i,j) h(j) = h(i) t(i,j)
+take t = kr or its columns and no row scale, and the re-check stops at
+the first entry that fails; no transposed or conjugated kernel is built.
+Only a pair without a certificate pays for the 3-cycle and 4-cycle sums
+and the walk, and only such a pair meets the guard on the walk's size.
 """
 
 from __future__ import annotations
@@ -168,22 +170,20 @@ def certify(k, q):
     """The transform carrying k onto q, re-checked entry by entry, or None.
 
     Returns (transposed, gauge, base_label) with q = g t g^(-1), where t
-    is k, or kᵀ when transposed; the direct framework is tried first.  The
-    gauge is 1 at base_label, the smallest label, and is pushed from there
-    along nonzero entries of the integer rows (``_propagate_gauge``).  It
-    passes when
-    q(i,j) g(j) = g(i) t(i,j) at every (i, j), the diagonal included.
-    That is tested on kr and qr, the integer rows of the minor scan
-    (``fields.integer_rows``), and given up at the first entry that fails;
-    no conjugated kernel is built and no Fraction product is taken.  Over
-    GF(p) each difference qr(i,j) g(j) - g(i) t(i,j) is reduced mod p, with
-    no inverse.  Over Q the gauge is scaled to integers, G = L g with L the
-    lcm of its denominators.  Row i of k and q shares the scale D_i, so the
-    direct test reads qr(i,j) G(j) = G(i) kr(i,j).  In the flipped one
-    t(i,j) = kr(j,i) / D_j, so it reads qr(i,j) H(j) = H(i) kr(j,i) with
-    H(i) = G(i) D_i.  Such a certificate preserves every principal
-    minor, so it proves equivalence whether or not either kernel has
-    property D.  ``check_equivalence`` returns it as the report's
+    is k, or kᵀ when transposed; the direct framework is tried first, and
+    the gauge is 1 at base_label, the smallest label.  Both frameworks are
+    one problem on kr = D k and qr = D q, the integer rows of the minor
+    scan (``fields.integer_rows``, row i scaled by D_i): q = g k g^(-1)
+    exactly when qr = g kr g^(-1), and, as krᵀ = kᵀ D, q = g kᵀ g^(-1)
+    exactly when qr = h krᵀ h^(-1) with h = D g.  So each framework solves
+    qr = h t h^(-1), t = kr or krᵀ (kr's columns), by propagation
+    (``_propagate_gauge``), with h = 1 at each root directly and D_root
+    flipped, and re-checks qr(i,j) h(j) = h(i) t(i,j) at every (i, j),
+    the diagonal included, giving up at the first entry that fails
+    (``_rechecks``).  A flipped h that passes is returned as g = h / D.
+    No conjugated kernel is built.  Such a certificate preserves every
+    principal minor, so it proves equivalence whether or not either kernel
+    has property D.  ``check_equivalence`` returns it as the report's
     ``certificate``.
     """
     require_same_points(k, q)
@@ -193,57 +193,47 @@ def certify(k, q):
 def _certify(k, q, rows):
     """``certify`` on rows = ((kr, qr), scales), the integer rows of k and
     q and their row scales, as ``fields.integer_rows`` returns them."""
+    field = k.field
     base = min(range(k.n), key=lambda i: k.labels[i])
     (kr, qr), scales = rows
     for transposed in (False, True):
-        gauge = _propagate_gauge(k, q, base, transposed, rows)
-        if gauge is not None and _rechecks(k.field, gauge.values, kr, qr,
-                                           scales, transposed):
-            return transposed, gauge, k.labels[base]
+        t_rows = list(zip(*kr)) if transposed else kr
+        start = scales if transposed else [1] * k.n
+        h = _propagate_gauge(field, t_rows, qr, base, start)
+        if h is not None and _rechecks(field, h, t_rows, qr):
+            if transposed:
+                h = [field.div(x, d) for x, d in zip(h, scales)]
+            return transposed, Gauge(field, k.labels, h), k.labels[base]
     return None
 
 
-def _rechecks(field, values, kr, qr, scales, transposed):
-    """Whether q = g t g^(-1) at every entry, on integer rows (``certify``);
-    False at the first entry that fails."""
+def _rechecks(field, h, t_rows, qr):
+    """Whether qr(i,j) h(j) = h(i) t(i,j) at every entry; False at the
+    first that fails.  Over GF(p) each difference is reduced mod p, with
+    no inverse; over Q, h is first scaled to integers by the lcm of its
+    denominators."""
     if field.kind == "prime":
-        g = values
         differ = field.p.__rmod__
     else:
-        lcm = math.lcm(*(v.denominator for v in values))
-        g = [v.numerator * (lcm // v.denominator) for v in values]
-        if transposed:
-            g = [x * d for x, d in zip(g, scales)]
+        lcm = math.lcm(*(v.denominator for v in h))
+        h = [v.numerator * (lcm // v.denominator) for v in h]
         differ = bool
-    t_rows = zip(*kr) if transposed else kr   # kᵀ's row i is k's column i
-    for q_row, t_row, gi in zip(qr, t_rows, g):
-        for qx, tx, gj in zip(q_row, t_row, g):
-            if differ(qx * gj - gi * tx):
+    for q_row, t_row, hi in zip(qr, t_rows, h):
+        for qx, tx, hj in zip(q_row, t_row, h):
+            if differ(qx * hj - hi * tx):
                 return False
     return True
 
 
-def _propagate_gauge(k, q, base, transposed, rows):
-    """Solve q = g t g^(-1), t = k or kᵀ when transposed, by pushing g
-    along nonzero entries.
+def _propagate_gauge(field, t_rows, qr, base, start):
+    """Solve qr = h t h^(-1) on integer rows by pushing h along nonzero
+    entries: h(j) = h(i) t(i,j) / qr(i,j), or h(i) qr(j,i) / t(j,i).
 
-    Returns None unless the zero layouts of t and q match; otherwise fixes
-    g = 1 at the base point and at each later root the base cannot reach,
-    and pushes g across every nonzero entry (in either direction).  A
-    cycle that disagrees is left for the re-check to catch.
-
-    The solve runs on rows = ((kr, qr), scales), the integer rows of k and
-    q (``fields.integer_rows``), with D the row scales, so
-    q(i,j) = qr(i,j) / D_i.  Directly t(i,j) = kr(i,j) / D_i and the
-    scales cancel: g(j) = g(i) t(i,j) / q(i,j) = g(i) kr(i,j) / qr(i,j).
-    Flipped, t(i,j) = kr(j,i) / D_j, read off kr's columns, so
-    g(j) = g(i) kr(j,i) D_i / (qr(i,j) D_j).  The push from
-    q(j,i) = g(j) t(j,i) / g(i) carries the same factor D_i / D_j.
-    Over GF(p) the scales are 1.
+    Returns None unless the zero layouts of t and qr match; otherwise sets
+    h = start[root] at the base point and at each later root the base
+    cannot reach, and pushes h across every nonzero entry (in either
+    direction).  A cycle that disagrees is left for the re-check to catch.
     """
-    field = k.field
-    (kr, qr), scales = rows
-    t_rows = list(zip(*kr)) if transposed else kr
     n = len(t_rows)
     if any((not t) != (not u)
            for t_row, q_row in zip(t_rows, qr) for t, u in zip(t_row, q_row)):
@@ -251,35 +241,30 @@ def _propagate_gauge(k, q, base, transposed, rows):
     if field.kind == "prime":
         p = field.p
 
-        def push(gi, num, den, i, j):
-            return gi * num * pow(den, -1, p) % p
-        one = 1
+        def push(hi, num, den):
+            return hi * num * pow(den, -1, p) % p
     else:
-        s = scales if transposed else [1] * n
-
-        def push(gi, num, den, i, j):
-            return Fraction(gi.numerator * num * s[i],
-                            gi.denominator * den * s[j])
-        one = Fraction(1)
-    g = [None] * n
+        def push(hi, num, den):
+            return Fraction(hi.numerator * num, hi.denominator * den)
+    h = [None] * n
     order = [base] + [i for i in range(n) if i != base]
     for root in order:
-        if g[root] is not None:
+        if h[root] is not None:
             continue
-        g[root] = one
+        h[root] = field.coerce(start[root])
         stack = [root]
         while stack:
             i = stack.pop()
             for j in range(n):
-                if g[j] is not None or i == j:
+                if h[j] is not None or i == j:
                     continue
                 if t_rows[i][j]:
-                    g[j] = push(g[i], t_rows[i][j], qr[i][j], i, j)
+                    h[j] = push(h[i], t_rows[i][j], qr[i][j])
                     stack.append(j)
                 elif t_rows[j][i]:
-                    g[j] = push(g[i], qr[j][i], t_rows[j][i], i, j)
+                    h[j] = push(h[i], qr[j][i], t_rows[j][i])
                     stack.append(j)
-    return Gauge(field, k.labels, g)
+    return h
 
 
 def _integer_pair(k, q):

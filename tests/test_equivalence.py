@@ -666,15 +666,22 @@ def test_certified_positive_computes_no_order_four_term(monkeypatch):
 # ---------------- the certificate's re-check, against the conjugated kernel
 
 
+def _direct_solve(target, q, base):
+    """The propagated gauge carrying target onto q, solved directly on
+    their own integer rows, or None where the zero layouts differ."""
+    (tr, qr), _ = integer_rows(target.field, target.rows, q.rows)
+    h = equivalence._propagate_gauge(target.field, tr, qr, base,
+                                     [1] * target.n)
+    return None if h is None else Gauge(target.field, target.labels, h)
+
+
 def _plain_certify(k, q):
-    """certify with the plain re-check: conjugate the whole kernel and
-    compare it with q."""
+    """certify with the plain re-check: conjugate the whole kernel, k or
+    an explicit kᵀ, and compare it with q."""
     base = min(range(k.n), key=lambda i: k.labels[i])
     for transposed in (False, True):
         target = k.transpose() if transposed else k
-        gauge = equivalence._propagate_gauge(
-            target, q, base, False,
-            integer_rows(target.field, target.rows, q.rows))
+        gauge = _direct_solve(target, q, base)
         if gauge is not None and target.conjugate(gauge).rows == q.rows:
             return transposed, gauge, k.labels[base]
     return None
@@ -714,7 +721,9 @@ def _recheck_pairs(rng, field, n, zeros):
 
 
 def test_integer_recheck_matches_conjugation():
-    # every verdict of the re-check on integer rows equals the plain one
+    # the solve on k's integer rows, with h = D g in the flipped framework,
+    # finds the gauge that the direct solve finds on an explicit kᵀ; every
+    # verdict of the re-check on integer rows equals the plain one
     # (conjugate t by the gauge and compare it with q), for the propagated
     # gauge of each framework and for the gauge q was built with; certify
     # returns the first framework whose propagated gauge passes
@@ -729,17 +738,24 @@ def test_integer_recheck_matches_conjugation():
                     (kr, qr), scales = integer_rows(field, k.rows, q.rows)
                     want_proof = None
                     for transposed, target in targets:
-                        solved = equivalence._propagate_gauge(
-                            target, q, 0, False,
-                            integer_rows(field, target.rows, q.rows))
+                        solved = _direct_solve(target, q, 0)
+                        t_rows = list(zip(*kr)) if transposed else kr
+                        start = scales if transposed else [1] * n
+                        h = equivalence._propagate_gauge(field, t_rows, qr,
+                                                         0, start)
+                        assert (h is None) is (solved is None)
+                        if h is not None:
+                            assert [field.div(x, d) for x, d
+                                    in zip(h, start)] == list(solved.values)
                         gauges = [solved] + [built] * (transposed is flip)
                         for gauge in gauges:
                             if gauge is None:
                                 continue
                             want = target.conjugate(gauge).rows == q.rows
                             got = equivalence._rechecks(
-                                field, gauge.values, kr, qr, scales,
-                                transposed)
+                                field, [field.mul(g, d) for g, d
+                                        in zip(gauge.values, start)],
+                                t_rows, qr)
                             assert got is want, (field, n, transposed,
                                                  k.rows, q.rows)
                             verdicts.add((field, want))

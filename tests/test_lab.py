@@ -278,6 +278,77 @@ def test_search_hits_are_genuine_counterexamples():
         assert not (holds_k and holds_q)
 
 
+def _rank_mod(rows, p):
+    """Rank over GF(p) by Gaussian elimination."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][c] % p),
+                     None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][c], -1, p)
+        for r in range(len(rows)):
+            if r != rank and rows[r][c] % p:
+                f = rows[r][c] * inv
+                rows[r] = [(a - f * b) % p
+                           for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _loewy_condition(kern):
+    """Loewy's hypothesis (LAA 78, 1986): k is irreducible, and every split
+    alpha|beta with |alpha|, |beta| >= 2 has rank >= 2 on k[alpha, beta] or
+    on k[beta, alpha]."""
+    n, p, rows = kern.n, kern.field.p, kern.rows
+    for size in range(1, n):
+        for alpha in itertools.combinations(range(n), size):
+            beta = [j for j in range(n) if j not in alpha]
+            # k[alpha, beta] = 0 makes k reducible
+            if not any(rows[i][j] for i in alpha for j in beta):
+                return False
+            if size < 2 or len(beta) < 2 or 0 not in alpha:
+                continue
+            ranks = [_rank_mod([[rows[i][j] for j in c] for i in r], p)
+                     for r, c in ((alpha, beta), (beta, alpha))]
+            if max(ranks) <= 1:
+                return False
+    return True
+
+
+def test_loewy_condition_helpers():
+    assert _rank_mod([[1, 2], [2, 4]], 7) == 1
+    assert _rank_mod([[1, 2], [2, 4]], 2) == 1
+    assert _rank_mod([[1, 0], [0, 1]], 2) == 2
+    assert _rank_mod([[0, 0], [0, 0]], 3) == 0
+    # a block upper-triangular kernel is reducible
+    assert not _loewy_condition(Kernel(F3, "abcd", [
+        [1, 1, 1, 1], [1, 1, 1, 1], [0, 0, 1, 1], [0, 0, 1, 1]]))
+    # a rank-one cut on both sides of {a, b} | {c, d}
+    assert not _loewy_condition(Kernel(F3, "abcd", [
+        [1, 1, 1, 1], [1, 1, 2, 2], [1, 1, 1, 1], [2, 2, 1, 1]]))
+    # every off-diagonal 2x2 cross minor nonzero: property D implies it
+    k = Kernel(F7, "abcd", [[0, 1, 1, 1], [1, 0, 2, 3], [1, 4, 0, 2],
+                           [1, 2, 5, 0]])
+    assert check_class_d(k).holds and _loewy_condition(k)
+
+
+def test_search_hits_fail_loewy_condition():
+    # Loewy's rigidity theorem: two kernels with equal principal minors, one
+    # of them satisfying the condition, are gauge conjugates, flipped or not
+    # (n >= 4, proved over the reals); every search hit must fail it on
+    # both sides, a sharper tripwire than property D
+    for p, n, budget in ((2, 4, 200000), (2, 5, 200000), (3, 4, 400000)):
+        hits = search_counterexample(PrimeField(p), n, budget, seed=2)
+        assert hits, (p, n)
+        for hit in hits:
+            for side in ("k", "q"):
+                assert not _loewy_condition(Kernel.from_doc(hit[side])), (
+                    p, n, hit)
+
+
 def test_search_empty_result_is_normal():
     assert search_counterexample(F7, 4, 50, seed=0) == []
 

@@ -42,18 +42,36 @@ def _refits(target, q, gauge):
     return gauge is not None and target.conjugate(gauge) == q
 
 
-def _assert_solves_agree(target, q, base):
+def _solve(k, q, base, transposed):
+    """The propagated gauge carrying k, or kᵀ, onto q, or None.
+
+    It solves qr = h t h^(-1) on k's integer rows, with t = kr or its
+    columns, and h = D g in the flipped framework, D the row scales.
+    """
+    (kr, qr), scales = integer_rows(k.field, k.rows, q.rows)
+    t_rows = list(zip(*kr)) if transposed else kr
+    start = scales if transposed else [1] * k.n
+    h = _propagate_gauge(k.field, t_rows, qr, base, start)
+    if h is None:
+        return None
+    return Gauge(k.field, k.labels,
+                 [k.field.div(x, d) for x, d in zip(h, start)])
+
+
+def _assert_solves_agree(k, q, base, transposed):
     """Propagation finds the table's gauge, and nothing where the table fails.
 
-    The table fails to build only where a branch meets a zero.  Either the
-    zero layouts differ, and propagation finds nothing, or a doubly-zero
-    pair shares a row or a column with another zero, which makes a cross
-    minor vanish: then propagation may still fit a gauge, but the target
-    lacks property D, and recover refuses it either way.  Returns which of
-    these held: "table", "degenerate" or "neither".
+    The table is built on the target, k or an explicit kᵀ; propagation
+    runs on k's integer rows in the matching framework.  The table fails
+    to build only where a branch meets a zero.  Either the zero layouts
+    differ, and propagation finds nothing, or a doubly-zero pair shares a
+    row or a column with another zero, which makes a cross minor vanish:
+    then propagation may still fit a gauge, but the target lacks property
+    D, and recover refuses it either way.  Returns which of these held:
+    "table", "degenerate" or "neither".
     """
-    gauge = _propagate_gauge(target, q, base, False,
-                             integer_rows(target.field, target.rows, q.rows))
+    target = k.transpose() if transposed else k
+    gauge = _solve(k, q, base, transposed)
     try:
         cocycle = build_cocycle_case1(target, q)
     except BranchUnavailable:
@@ -97,8 +115,8 @@ def test_propagation_matches_the_cocycle_on_generated_positives():
         pairs.append(_wide_rational_pair(rng, n, flip, zeros))
     for k, q in pairs:
         base = min(range(k.n), key=lambda i: k.labels[i])
-        fits = [_assert_solves_agree(target, q, base)
-                for target in (k, k.transpose())]
+        fits = [_assert_solves_agree(k, q, base, transposed)
+                for transposed in (False, True)]
         assert "table" in fits
 
 
@@ -122,8 +140,8 @@ def test_propagation_matches_the_cocycle_on_random_kernels():
             q = perturb(k, q, seed=case)
         kinds[kind] += 1
         base = rng.randrange(n)
-        for target in (k, k.transpose()):
-            outcomes[_assert_solves_agree(target, q, base)] += 1
+        for transposed in (False, True):
+            outcomes[_assert_solves_agree(k, q, base, transposed)] += 1
     assert min(kinds.values()) > 300
     assert min(outcomes.values()) > 100, outcomes
 
