@@ -70,7 +70,7 @@ class Rationals:
         return -a
 
     def div(self, a, b):
-        return a / b
+        return Fraction(a) / b
 
     def inv(self, a):
         return Fraction(1) / a

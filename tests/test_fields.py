@@ -52,6 +52,36 @@ def test_rational_ops_frozen_values():
     assert Q.is_zero(Fraction(0)) and not Q.is_zero(Fraction(1, 9))
 
 
+def test_rational_ops_on_ints_stay_exact():
+    # coerce admits ints as rational values, so every operation must treat
+    # them as such: the Fraction result, never a float (div(1, 2) != 0.5)
+    binary = {Q.add: Fraction.__add__, Q.sub: Fraction.__sub__,
+              Q.mul: Fraction.__mul__, Q.div: Fraction.__truediv__}
+    unary = {Q.neg: Fraction.__neg__, Q.inv: lambda a: 1 / a}
+    values = [-7, -2, -1, 0, 1, 2, 3, 12]
+    for a in values:
+        for b in values:
+            for x, y in ((a, b), (Fraction(a), b), (a, Fraction(b))):
+                for op, exact in binary.items():
+                    if op == Q.div and b == 0:
+                        with pytest.raises(ZeroDivisionError):
+                            op(x, y)
+                        continue
+                    got = op(x, y)
+                    assert not isinstance(got, float), (op, x, y)
+                    assert got == exact(Fraction(a), Fraction(b)), (op, x, y)
+        for op, exact in unary.items():
+            if op == Q.inv and a == 0:
+                with pytest.raises(ZeroDivisionError):
+                    op(a)
+                continue
+            got = op(a)
+            assert not isinstance(got, float), (op, a)
+            assert got == exact(Fraction(a)), (op, a)
+    assert Q.div(1, 2) == Fraction(1, 2) and isinstance(Q.div(1, 2), Fraction)
+    assert Q.is_zero(0) and not Q.is_zero(5)
+
+
 def test_prime_ops_frozen_values():
     assert F7.add(5, 4) == 2
     assert F7.sub(2, 5) == 4

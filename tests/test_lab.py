@@ -1,7 +1,8 @@
 """Instance generation, perturbation, the brute-force oracle, and the search.
 
 The oracle is itself cross-checked against a full enumeration written in the
-test (no shared code, no fixed base point).
+test (no shared code, no fixed base point), and against its own former loop,
+kept here as the reference for its exact answers.
 """
 
 import itertools
@@ -12,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from detequiv.classd import check_class_d
-from detequiv.equivalence import check_equivalence
+from detequiv.equivalence import certify, check_equivalence
 from detequiv.errors import (
     ClassDViolation,
     GenerationBudgetExceeded,
@@ -24,6 +25,7 @@ from detequiv.fields import PrimeField, Rationals
 from detequiv.kernels import Gauge, Kernel
 from detequiv.lab import (
     InstanceSpec,
+    OracleResult,
     brute_force_diagonal_similar,
     gen_instance,
     perturb,
@@ -176,6 +178,125 @@ def test_oracle_enumeration_guard():
     k, q, _ = gen_instance(InstanceSpec(field=PrimeField(101), n=5, seed=2))
     with pytest.raises(ValueError):
         brute_force_diagonal_similar(k, q)
+
+
+def _enumerate_reference(k, q):
+    # the oracle's former loop: every gauge with 1 at the first point, tails
+    # in lexicographic order, the direct framework before the flipped one,
+    # each candidate checked on all n^2 entries from scratch
+    f = k.field
+    p = f.p
+    n = k.n
+    targets = [(False, k.rows), (True, k.transpose().rows)]
+    for tail in itertools.product(range(1, p), repeat=n - 1):
+        g = (1,) + tail
+        inv = [pow(v, p - 2, p) for v in g]
+        for transposed, t_rows in targets:
+            if all(g[i] * t_rows[i][j] * inv[j] % p == q.rows[i][j]
+                   for i in range(n) for j in range(n)):
+                return OracleResult(True, True, transposed,
+                                    Gauge(f, k.labels, list(g)))
+    return OracleResult(False, True)
+
+
+def _random_rows(rng, p, n, zero_share, symmetric=False):
+    rows = [[0 if rng.random() < zero_share else rng.randrange(1, p)
+             for _ in range(n)] for _ in range(n)]
+    if symmetric:
+        rows = [[rows[min(i, j)][max(i, j)] for j in range(n)]
+                for i in range(n)]
+    return rows
+
+
+def _disconnected_rows(rng, p, n):
+    # two blocks with no entry between them, so the second block's gauge is
+    # free up to a scale and p - 1 gauges fit every conjugate
+    cut = rng.randint(1, n - 1)
+    return [[rng.randrange(1, p) if (i < cut) == (j < cut) else 0
+             for j in range(n)] for i in range(n)]
+
+
+def _oracle_cases(rng, p, n):
+    """(kind, k, q) pairs over GF(p) on n points, one or more of each kind."""
+    f = PrimeField(p)
+    labels = [str(i + 1) for i in range(n)]
+
+    def conjugate(rows, flip):
+        k = Kernel(f, labels, rows)
+        g = Gauge(f, labels, [rng.randrange(1, p) for _ in range(n)])
+        return k, (k.transpose() if flip else k).conjugate(g)
+
+    cases = []
+    for share in (0.5, 0.7, 0.9):
+        for flip in (False, True):
+            cases.append(("zero-heavy", *conjugate(
+                _random_rows(rng, p, n, share), flip)))
+    if n >= 2:
+        for flip in (False, True):
+            cases.append(("disconnected", *conjugate(
+                _disconnected_rows(rng, p, n), flip)))
+    for share in (0.0, 0.4):
+        cases.append(("symmetric", *conjugate(
+            _random_rows(rng, p, n, share, symmetric=True), rng.random() < 0.5)))
+    k, q = conjugate(_random_rows(rng, p, n, 0.0), rng.random() < 0.5)
+    rows = [list(r) for r in q.rows]
+    i = rng.randrange(n)
+    rows[i][i] = (rows[i][i] + rng.randrange(1, p)) % p
+    cases.append(("diagonal", k, Kernel(f, labels, rows)))
+    for share in (0.0, 0.5) if n >= 2 else ():
+        k, q = conjugate(_random_rows(rng, p, n, share), rng.random() < 0.5)
+        i, j = rng.sample(range(n), 2)
+        rows = [list(r) for r in q.rows]
+        rows[i][j] = (rows[i][j] + rng.randrange(1, p)) % p
+        cases.append(("one-entry", k, Kernel(f, labels, rows)))
+    return cases
+
+
+def test_oracle_matches_reference_enumeration():
+    rng = random.Random(64)
+    seen = {}
+    for p in (2, 3, 5, 7):
+        for n in range(1, 7):
+            for kind, k, q in _oracle_cases(rng, p, n):
+                res = brute_force_diagonal_similar(k, q)
+                assert res == _enumerate_reference(k, q), (kind, p, k.rows, q.rows)
+                if res.found:
+                    target = k.transpose() if res.transposed else k
+                    assert target.conjugate(res.gauge) == q
+                tally = seen.setdefault(kind, {"found": 0, "missed": 0})
+                tally["found" if res.found else "missed"] += 1
+                if kind == "symmetric":
+                    # k = kᵀ, so both frameworks fit with the same gauges
+                    assert res.found and res.transposed is False
+                if kind == "diagonal":
+                    assert not res.found
+    assert seen["zero-heavy"]["found"] == 2 * 3 * 4 * 6
+    assert seen["disconnected"]["found"] == 2 * 4 * 5
+    assert seen["one-entry"]["missed"] >= 30
+
+
+@pytest.mark.parametrize("p, n", [(101, 4), (31, 5), (11, 7)])
+def test_oracle_reaches_the_guard_edge(p, n):
+    # n (p-1)^(n-1) is 4.0e6, 4.05e6 and 7e6, just inside the guard
+    f = PrimeField(p)
+    labels = [str(i + 1) for i in range(n)]
+    rng = random.Random(p * 100 + n)
+    for trial in range(3):
+        k = Kernel(f, labels, [[rng.randrange(1, p) for _ in range(n)]
+                               for _ in range(n)])
+        g = Gauge(f, labels, [rng.randrange(1, p) for _ in range(n)])
+        direct = k.conjugate(g)
+        flipped = k.transpose().conjugate(g)
+        rows = [list(r) for r in flipped.rows]
+        i, j = rng.sample(range(n), 2)
+        rows[i][j] = (rows[i][j] + rng.randrange(1, p)) % p
+        for q in (direct, flipped, Kernel(f, labels, rows)):
+            res = brute_force_diagonal_similar(k, q)
+            assert res.complete
+            assert res.found == (certify(k, q) is not None)
+            if res.found:
+                target = k.transpose() if res.transposed else k
+                assert target.conjugate(res.gauge) == q
 
 
 def test_oracle_rational_connected_cases_are_definite():
