@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 positive verdict, 1 negative verdict (with witness in the
-report), 2 bad input or unsatisfiable precondition, 3 internal verification
-failure.
+report), 2 bad input or unsatisfiable precondition, 3 internal fault: any
+exception that is neither a verdict nor bad input.
 """
 
 from __future__ import annotations
@@ -15,11 +15,9 @@ from .classd import check_class_d
 from .classify import CaseTable, global_case
 from .equivalence import check_equivalence, quick_consequences
 from .errors import (
-    BranchUnavailable,
     ClassDViolation,
     FieldMismatch,
     GenerationBudgetExceeded,
-    Inconsistent,
     LabelMismatch,
     MixedCases,
     NotEquivalent,
@@ -175,8 +173,7 @@ def _cmd_recover(args):
         doc = {"error": "not_equivalent",
                "witness": {"subset": _labels(k, exc.subset),
                            "minor_k": _fmt(f, exc.minor_k),
-                           "minor_q": _fmt(f, exc.minor_q)},
-               "detail": exc.detail}
+                           "minor_q": _fmt(f, exc.minor_q)}}
         _emit(args, doc)
         print(f"not equivalent: witness subset {_labels(k, exc.subset)}")
         return NEGATIVE
@@ -269,14 +266,13 @@ def _build_parser():
                     "constructive recovery of the diagonal transform between them.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, help_text, *, pair=False, single=False, out=True):
+    def add(name, handler, help_text, *, pair=False, single=False):
         p = sub.add_parser(name, help=help_text)
         if pair or single:
             p.add_argument("--k", required=True, help="first kernel JSON file")
         if pair:
             p.add_argument("--q", required=True, help="second kernel JSON file")
-        if out:
-            p.add_argument("--out", help="write the JSON report here")
+        p.add_argument("--out", help="write the JSON report here")
         p.set_defaults(handler=handler)
         return p
 
@@ -327,16 +323,13 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (VerificationFailed, BranchUnavailable, Inconsistent,
-            RuntimeError) as exc:
+    except (FieldMismatch, LabelMismatch, GenerationBudgetExceeded,
+            OSError, ValueError, KeyError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return INPUT_ERROR
+    except Exception as exc:
         print(f"internal verification failure: {exc}", file=sys.stderr)
         return INTERNAL
-    except (FieldMismatch, LabelMismatch, GenerationBudgetExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return INPUT_ERROR
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return INPUT_ERROR
 
 
 if __name__ == "__main__":

@@ -30,16 +30,14 @@ class NotEquivalent(DetEquivError):
     """The two kernels disagree on some principal minor.
 
     ``subset`` holds the failing index set; ``minor_k`` / ``minor_q`` the two
-    minor values when the refutation came from a determinant comparison,
-    ``detail`` an optional dict with extra context.
+    minor values when the refutation came from a determinant comparison.
     """
 
-    def __init__(self, message, *, subset, minor_k=None, minor_q=None, detail=None):
+    def __init__(self, message, *, subset, minor_k=None, minor_q=None):
         super().__init__(message)
         self.subset = tuple(subset)
         self.minor_k = minor_k
         self.minor_q = minor_q
-        self.detail = detail
 
 
 class ClassDViolation(DetEquivError):
@@ -93,12 +91,8 @@ class VerificationFailed(DetEquivError):
     """No transform fits two kernels that the rigidity theorem says are
     related: both have property D and agree on every principal minor.
 
-    Indicates an internal bug, never bad input.
+    Indicates an internal bug, never bad input: the command line exits 3.
     """
-
-    def __init__(self, message, *, detail=None):
-        super().__init__(message)
-        self.detail = detail
 
 
 class GenerationBudgetExceeded(DetEquivError):

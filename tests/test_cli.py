@@ -9,7 +9,7 @@ import pytest
 from fractions import Fraction
 
 from detequiv.cli import main
-from detequiv.errors import VerificationFailed
+from detequiv.errors import ProblematicPair, VerificationFailed
 from detequiv.kernels import Gauge, Kernel
 from detequiv.fields import PrimeField, Rationals
 from detequiv.lab import InstanceSpec, gen_instance
@@ -124,6 +124,7 @@ def test_recover_negative_verdicts(tmp_path):
     bp = _write_doc(tmp_path / "bad.json", Kernel(F7, q.labels, rows).to_doc())
     assert main(["recover", "--k", kp, "--q", bp, "--out", str(out)]) == 1
     doc = json.loads(out.read_text())
+    assert set(doc) == {"error", "witness"}
     assert doc["error"] == "not_equivalent"
     assert doc["witness"]["subset"] == ["2"]
 
@@ -238,6 +239,37 @@ def test_internal_faults_exit_three(tmp_path, monkeypatch):
                  "--budget", "10"]) == 3
     kp, qp, _, _, _ = _gen_pair_files(tmp_path)
     assert main(["perturb", "--k", kp, "--q", qp]) == 3
+
+
+def test_unexpected_exceptions_exit_three(tmp_path, monkeypatch, capsys):
+    # exit 1 means "not equivalent", so no stray exception may reach it
+    kp, qp, _, _, _ = _gen_pair_files(tmp_path)
+    for exc in (ZeroDivisionError("planted"), TypeError("planted"),
+                AttributeError("planted"),
+                ProblematicPair("planted", edge=(0, 1), entries=(0, 0, 0, 0))):
+        def fault(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr("detequiv.cli.recover", fault)
+        monkeypatch.setattr("detequiv.cli.search_counterexample", fault)
+        assert main(["recover", "--k", kp, "--q", qp]) == 3
+        assert "internal verification failure" in capsys.readouterr().err
+        assert main(["search", "--field", "prime:2", "--n", "4",
+                     "--budget", "10"]) == 3
+        assert "internal verification failure" in capsys.readouterr().err
+
+    script = (
+        "import sys\n"
+        "import detequiv.cli as cli\n"
+        "def fault(*args, **kwargs):\n"
+        "    raise ZeroDivisionError('planted')\n"
+        "cli.search_counterexample = fault\n"
+        "sys.exit(cli.main(['search', '--field', 'prime:2', '--n', '4',"
+        " '--budget', '10']))\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 3
+    assert "internal verification failure" in proc.stderr
 
 
 def test_rigidity_contradiction_exits_three(tmp_path, monkeypatch, capsys):

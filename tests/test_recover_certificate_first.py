@@ -152,7 +152,6 @@ def test_minor_witness_still_wins(degenerate):
     assert info.value.subset == rep.witness_subset
     assert (info.value.minor_k, info.value.minor_q) == (rep.witness_minor_k,
                                                         rep.witness_minor_q)
-    assert info.value.detail is None
 
 
 def test_recover_answers_past_the_scan_guard():

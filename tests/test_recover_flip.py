@@ -115,14 +115,7 @@ def _table_first_recover(k, q):
         raise NotEquivalent(
             f"cycle products around {row.cycle!r} match neither directly nor "
             "flipped, which no equivalent pair allows",
-            subset=tuple(sorted(row.cycle.vertices)),
-            detail={
-                "cycle": row.cycle.vertices,
-                "k_forward": f.format(row.k_forward),
-                "k_reversed": f.format(row.k_reversed),
-                "q_forward": f.format(row.q_forward),
-                "q_reversed": f.format(row.q_reversed),
-            })
+            subset=tuple(sorted(row.cycle.vertices)))
     transposed = global_case(table) is GlobalCase.CASE2
     try:
         return _framework(k, q, transposed)
@@ -140,14 +133,13 @@ def _framework(k, q, transposed):
     if not chk.ok:
         raise VerificationFailed(
             f"ratio table violates the {chk.violation.law} law at "
-            f"{chk.violation.points!r}", detail=chk.violation)
+            f"{chk.violation.points!r}")
     gauge = extract_gauge(cocycle, 0)
     recon = target.conjugate(gauge)
     for i, j in itertools.product(range(k.n), repeat=2):
         if recon.rows[i][j] != q.rows[i][j]:
             raise VerificationFailed(
-                f"certificate fails at entry ({k.labels[i]!r}, {k.labels[j]!r})",
-                detail={"entry": (i, j)})
+                f"certificate fails at entry ({k.labels[i]!r}, {k.labels[j]!r})")
     return RecoveryResult(transposed, gauge, k.labels[0])
 
 
