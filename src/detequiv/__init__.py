@@ -8,15 +8,8 @@ brute-force oracles and a counterexample search round out the toolkit.
 """
 
 from .classd import (
-    ALIGNED_ZERO_BACKWARD,
-    ALIGNED_ZERO_FORWARD,
-    ALL_NONZERO,
-    ALL_ZERO,
-    SWAPPED_ZERO_BACKWARD,
-    SWAPPED_ZERO_FORWARD,
     ClassDReport,
     check_class_d,
-    edge_pattern,
     zero_pattern_validate,
 )
 from .classify import (
@@ -27,7 +20,6 @@ from .classify import (
     classify_3cycle,
     four_point_audit,
     global_case,
-    is_zero_edge,
 )
 from .equivalence import (
     EquivalenceReport,
@@ -47,7 +39,6 @@ from .errors import (
     MixedCases,
     NotEquivalent,
     NotRecoverable,
-    ProblematicPair,
     VerificationFailed,
 )
 from .fields import PrimeField, Rationals, determinant, field_from_doc, is_prime
@@ -57,7 +48,6 @@ from .kernels import (
     Gauge,
     Kernel,
     cycle_product,
-    enumerate_3cycles,
     require_same_points,
     reversed_cycle_product,
 )
@@ -82,10 +72,6 @@ from .recovery import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALIGNED_ZERO_BACKWARD",
-    "ALIGNED_ZERO_FORWARD",
-    "ALL_NONZERO",
-    "ALL_ZERO",
     "BranchUnavailable",
     "CaseLabel",
     "CaseTable",
@@ -111,11 +97,8 @@ __all__ = [
     "OracleResult",
     "PrecheckReport",
     "PrimeField",
-    "ProblematicPair",
     "Rationals",
     "RecoveryResult",
-    "SWAPPED_ZERO_BACKWARD",
-    "SWAPPED_ZERO_FORWARD",
     "VerificationFailed",
     "brute_force_diagonal_similar",
     "build_cocycle_case1",
@@ -125,15 +108,12 @@ __all__ = [
     "consistency_audit",
     "cycle_product",
     "determinant",
-    "edge_pattern",
-    "enumerate_3cycles",
     "extract_gauge",
     "field_from_doc",
     "four_point_audit",
     "gen_instance",
     "global_case",
     "is_prime",
-    "is_zero_edge",
     "perturb",
     "quick_consequences",
     "recover",

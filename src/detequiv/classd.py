@@ -30,9 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ProblematicPair
 from .fields import integer_rows
-from .kernels import require_same_points
 
 
 @dataclass(frozen=True)
@@ -175,45 +173,3 @@ def zero_pattern_validate(k):
                     out.append(ZeroPatternViolation((x, y), (z, y)))
     return tuple(out)
 
-
-# The six admissible zero layouts of the quadruple
-# (K(x,y), K(y,x), Q(x,y), Q(y,x)) for an ordered pair of distinct points.
-ALL_NONZERO = "all_nonzero"
-ALL_ZERO = "all_zero"
-ALIGNED_ZERO_FORWARD = "aligned_zero_forward"     # K(x,y) = Q(x,y) = 0
-ALIGNED_ZERO_BACKWARD = "aligned_zero_backward"   # K(y,x) = Q(y,x) = 0
-SWAPPED_ZERO_FORWARD = "swapped_zero_forward"     # K(x,y) = Q(y,x) = 0
-SWAPPED_ZERO_BACKWARD = "swapped_zero_backward"   # K(y,x) = Q(x,y) = 0
-
-_EDGE_PATTERNS = {
-    (False, False, False, False): ALL_NONZERO,
-    (True, True, True, True): ALL_ZERO,
-    (True, False, True, False): ALIGNED_ZERO_FORWARD,
-    (False, True, False, True): ALIGNED_ZERO_BACKWARD,
-    (True, False, False, True): SWAPPED_ZERO_FORWARD,
-    (False, True, True, False): SWAPPED_ZERO_BACKWARD,
-}
-
-
-def edge_pattern(k, q, x, y):
-    """Classify the zero layout of one ordered pair across both kernels.
-
-    Only six layouts can occur when the kernels are determinantally
-    equivalent and nondegenerate: zeros aligned in the same slot of both, in
-    swapped slots, everywhere, or nowhere.  Every other layout (e.g. a zero
-    in one kernel with all other slots nonzero) raises ProblematicPair.
-    """
-    require_same_points(k, q)
-    if x == y:
-        raise ValueError("edge_pattern needs two distinct points")
-    zero = k.field.is_zero
-    entries = (k.rows[x][y], k.rows[y][x], q.rows[x][y], q.rows[y][x])
-    signature = tuple(zero(v) for v in entries)
-    pattern = _EDGE_PATTERNS.get(signature)
-    if pattern is None:
-        fmt = k.field.format
-        raise ProblematicPair(
-            f"zero layout at pair ({k.labels[x]!r}, {k.labels[y]!r}) fits no "
-            f"admissible pattern: " + ", ".join(fmt(v) for v in entries),
-            edge=(x, y), entries=entries)
-    return pattern

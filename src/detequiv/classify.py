@@ -13,7 +13,6 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 
-from .classd import edge_pattern
 from .errors import MixedCases
 from .kernels import Cycle, cycle_product, require_same_points
 
@@ -73,24 +72,6 @@ def classify_3cycle(k, q, cycle):
     else:
         zero_edges = tuple((a, b) for a, b in cycle.edges() if zero(k.rows[a][b]))
     return CycleClassification(cycle, label, kf, kr, qf, qr, zero_edges)
-
-
-def is_zero_edge(k, q, cycle, edge, case):
-    """Whether one edge of a 3-cycle counts as zero under the given framework.
-
-    The edge (a, b) is zero when K(a, b) = 0; the flipped framework
-    (GlobalCase.CASE2) is the direct one on kᵀ, so there K(b, a) = 0.  The
-    edge's zero layout across both kernels is validated first, so a pair
-    that fits no admissible pattern raises ProblematicPair instead of being
-    typed.
-    """
-    if edge not in cycle.edges():
-        raise ValueError(f"{edge!r} is not an edge of {cycle!r}")
-    a, b = edge
-    edge_pattern(k, q, a, b)
-    if case is GlobalCase.CASE2:
-        k = k.transpose()
-    return k.field.is_zero(k.rows[a][b])
 
 
 @dataclass(frozen=True)

@@ -55,7 +55,7 @@ def _load_pair(args):
 
 
 def _emit(args, doc):
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 

@@ -13,19 +13,6 @@ class LabelMismatch(DetEquivError):
     """Two objects with different point labels were combined."""
 
 
-class ProblematicPair(DetEquivError):
-    """An ordered pair whose zero layout fits none of the admissible patterns.
-
-    Carries ``edge`` (the index pair) and ``entries``, the tuple
-    (K(x,y), K(y,x), Q(x,y), Q(y,x)).
-    """
-
-    def __init__(self, message, *, edge, entries):
-        super().__init__(message)
-        self.edge = edge
-        self.entries = entries
-
-
 class NotEquivalent(DetEquivError):
     """The two kernels disagree on some principal minor.
 

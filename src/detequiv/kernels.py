@@ -8,8 +8,6 @@ module also owns cycles, diagonal gauges and two-point ratio tables.
 
 from __future__ import annotations
 
-import itertools
-
 from .errors import FieldMismatch, LabelMismatch
 from .fields import determinant, field_from_doc
 
@@ -127,19 +125,6 @@ class Kernel:
         inv = [f.inv(gauge.values[j]) for j in range(n)]
         return Kernel(f, self.labels,
                       [[f.mul(f.mul(gauge.values[i], self.rows[i][j]), inv[j])
-                        for j in range(n)] for i in range(n)])
-
-    def apply_cocycle(self, cocycle):
-        """Entrywise product (x, y) -> c(x, y) K(x, y)."""
-        if cocycle.field != self.field:
-            raise FieldMismatch("cocycle and kernel live over different fields")
-        if cocycle.n != self.n:
-            raise LabelMismatch(
-                f"cocycle is {cocycle.n}-point, kernel is {self.n}-point")
-        f = self.field
-        n = self.n
-        return Kernel(f, self.labels,
-                      [[f.mul(cocycle.rows[i][j], self.rows[i][j])
                         for j in range(n)] for i in range(n)])
 
     def to_doc(self):
@@ -276,17 +261,3 @@ def reversed_cycle_product(k, cycle):
     """Same as cycle_product with every edge traversed backwards."""
     return cycle_product(k, cycle.reverse())
 
-
-def enumerate_3cycles(n):
-    """Both orientations of every 3-subset of range(n), lexicographically.
-
-    Returns 2 * C(n, 3) cycles sorted by their normalized vertex tuples.
-    """
-    if n < 3:
-        raise ValueError(f"need at least 3 points, got n={n}")
-    cycles = []
-    for a, b, c in itertools.combinations(range(n), 3):
-        cycles.append(Cycle((a, b, c)))
-        cycles.append(Cycle((a, c, b)))
-    cycles.sort(key=lambda cy: cy.vertices)
-    return cycles

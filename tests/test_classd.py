@@ -1,4 +1,4 @@
-"""Nondegeneracy scan, zero-pattern rules, and edge-pattern classification.
+"""Nondegeneracy scan and zero-pattern rules.
 
 The scan verdict and its witness are checked against a brute-force sweep over
 every ordered quadruple of pairwise-distinct points, and against the quartic
@@ -9,21 +9,11 @@ import itertools
 import random
 from fractions import Fraction
 
-import pytest
-
 from detequiv.classd import (
-    ALIGNED_ZERO_BACKWARD,
-    ALIGNED_ZERO_FORWARD,
-    ALL_NONZERO,
-    ALL_ZERO,
-    SWAPPED_ZERO_BACKWARD,
-    SWAPPED_ZERO_FORWARD,
     check_class_d,
     class_d_ok,
-    edge_pattern,
     zero_pattern_validate,
 )
-from detequiv.errors import ProblematicPair
 from detequiv.fields import PrimeField, Rationals, integer_rows
 from detequiv.kernels import Gauge, Kernel
 
@@ -331,45 +321,3 @@ def test_zero_pattern_violation_forces_degeneracy():
         if zero_pattern_validate(k):
             assert not check_class_d(k).holds
 
-
-# -------------------------------------------------------------- edge pattern
-
-
-def _pair_kernels(k_xy, k_yx, q_xy, q_yx):
-    # embed the four test entries at pair (0, 1) of otherwise dense kernels
-    base = [[1, 1, 2, 3], [1, 1, 1, 2], [2, 3, 1, 1], [5, 1, 2, 1]]
-    k_rows = [list(r) for r in base]
-    q_rows = [list(r) for r in base]
-    k_rows[0][1], k_rows[1][0] = k_xy, k_yx
-    q_rows[0][1], q_rows[1][0] = q_xy, q_yx
-    labels = list("wxyz")
-    return Kernel(Q, labels, k_rows), Kernel(Q, labels, q_rows)
-
-
-def test_edge_pattern_recognizes_all_six_layouts():
-    cases = [
-        ((5, 7, 5, 7), ALL_NONZERO),
-        ((0, 0, 0, 0), ALL_ZERO),
-        ((0, 7, 0, 9), ALIGNED_ZERO_FORWARD),
-        ((5, 0, 9, 0), ALIGNED_ZERO_BACKWARD),
-        ((0, 7, 9, 0), SWAPPED_ZERO_FORWARD),
-        ((5, 0, 0, 9), SWAPPED_ZERO_BACKWARD),
-    ]
-    for entries, expected in cases:
-        k, q = _pair_kernels(*entries)
-        assert edge_pattern(k, q, 0, 1) == expected
-
-
-def test_edge_pattern_rejects_stray_zero():
-    for entries in [(0, 7, 5, 7), (5, 7, 0, 7), (0, 0, 0, 7), (0, 0, 5, 0),
-                    (5, 0, 0, 0), (0, 7, 0, 0)]:
-        k, q = _pair_kernels(*entries)
-        with pytest.raises(ProblematicPair) as info:
-            edge_pattern(k, q, 0, 1)
-        assert info.value.edge == (0, 1)
-
-
-def test_edge_pattern_needs_distinct_points():
-    k, q = _pair_kernels(5, 7, 5, 7)
-    with pytest.raises(ValueError):
-        edge_pattern(k, q, 2, 2)

@@ -13,9 +13,8 @@ from detequiv.classify import (
     classify_3cycle,
     four_point_audit,
     global_case,
-    is_zero_edge,
 )
-from detequiv.errors import MixedCases, ProblematicPair
+from detequiv.errors import MixedCases
 from detequiv.fields import PrimeField, Rationals
 from detequiv.kernels import Cycle, Gauge, Kernel, cycle_product
 
@@ -123,33 +122,6 @@ def test_zero_edges_follow_reversed_sense_for_flipped():
     rev = classify_3cycle(k, q, Cycle((0, 2, 1)))
     assert rev.label is CaseLabel.CASE2_ONLY
     assert rev.zero_edges == ((1, 0),)
-
-
-def test_is_zero_edge_senses():
-    rows = [[1, 0, 2], [3, 1, 4], [5, 6, 1]]
-    k = Kernel(Q, ["a", "b", "c"], rows)
-    q = Kernel(Q, ["a", "b", "c"], [[1, 0, 2], [3, 1, 4], [5, 6, 1]])
-    cyc = Cycle((0, 1, 2))
-    assert is_zero_edge(k, q, cyc, (0, 1), GlobalCase.CASE1)
-    assert not is_zero_edge(k, q, cyc, (1, 2), GlobalCase.CASE1)
-    # flipped sense looks at K(b, a)
-    qt = k.transpose()
-    assert not is_zero_edge(k, qt, cyc, (0, 1), GlobalCase.CASE2)
-    rows_t = [[1, 3, 5], [0, 1, 6], [2, 4, 1]]
-    k2 = Kernel(Q, ["a", "b", "c"], rows_t)
-    assert is_zero_edge(k2, k2.transpose(), Cycle((0, 1, 2)), (0, 1),
-                        GlobalCase.CASE2)
-
-
-def test_is_zero_edge_validates_edge_and_pattern():
-    k = Kernel(Q, ["a", "b", "c"], [[1, 2, 3], [4, 1, 5], [6, 7, 1]])
-    cyc = Cycle((0, 1, 2))
-    with pytest.raises(ValueError):
-        is_zero_edge(k, k, cyc, (1, 0), GlobalCase.CASE1)
-    q_rows = [[1, 0, 3], [4, 1, 5], [6, 7, 1]]
-    q = Kernel(Q, ["a", "b", "c"], q_rows)
-    with pytest.raises(ProblematicPair):
-        is_zero_edge(k, q, cyc, (0, 1), GlobalCase.CASE1)
 
 
 # ------------------------------------------------------------- case tables

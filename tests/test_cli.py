@@ -9,7 +9,7 @@ import pytest
 from fractions import Fraction
 
 from detequiv.cli import main
-from detequiv.errors import ProblematicPair, VerificationFailed
+from detequiv.errors import BranchUnavailable, VerificationFailed
 from detequiv.kernels import Gauge, Kernel
 from detequiv.fields import PrimeField, Rationals
 from detequiv.lab import InstanceSpec, gen_instance
@@ -246,7 +246,7 @@ def test_unexpected_exceptions_exit_three(tmp_path, monkeypatch, capsys):
     kp, qp, _, _, _ = _gen_pair_files(tmp_path)
     for exc in (ZeroDivisionError("planted"), TypeError("planted"),
                 AttributeError("planted"),
-                ProblematicPair("planted", edge=(0, 1), entries=(0, 0, 0, 0))):
+                BranchUnavailable("planted", pair=(0, 1))):
         def fault(*args, **kwargs):
             raise exc
 

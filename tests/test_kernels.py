@@ -19,7 +19,6 @@ from detequiv.kernels import (
     Gauge,
     Kernel,
     cycle_product,
-    enumerate_3cycles,
     require_same_points,
     reversed_cycle_product,
 )
@@ -80,22 +79,6 @@ def test_cycle_validation():
         Cycle((0, -1))
     with pytest.raises(ValueError):
         Cycle((0, "1"))
-
-
-def test_enumerate_3cycles_counts_and_order():
-    for n in (3, 4, 5, 6):
-        cycles = enumerate_3cycles(n)
-        expect = 2 * len(list(itertools.combinations(range(n), 3)))
-        assert len(cycles) == expect
-        assert len(set(cycles)) == expect
-        tuples = [c.vertices for c in cycles]
-        assert tuples == sorted(tuples)
-        for a, b, c in itertools.combinations(range(n), 3):
-            assert Cycle((a, b, c)) in cycles
-            assert Cycle((a, c, b)) in cycles
-    assert [c.vertices for c in enumerate_3cycles(3)] == [(0, 1, 2), (0, 2, 1)]
-    with pytest.raises(ValueError):
-        enumerate_3cycles(2)
 
 
 # ---------------------------------------------------------------- kernels
@@ -233,31 +216,16 @@ def test_gauge_rejects_zero():
         Gauge(F7, ["a"], [7])  # 7 = 0 mod 7
 
 
-def test_apply_cocycle_and_gauge_table():
+def test_cocycle_from_gauge_table():
     rng = random.Random(12)
     for field in (Q, F7):
         k = _random_kernel(rng, field, 4)
         g = _random_gauge(rng, field, k.labels)
         c = Cocycle.from_gauge(g)
-        assert k.apply_cocycle(c) == k.conjugate(g)
         for i in range(4):
             assert c.entry(i, i) == field.one
             for j in range(4):
                 assert c.entry(i, j) == field.div(g.values[i], g.values[j])
-    with pytest.raises(LabelMismatch):
-        k.apply_cocycle(Cocycle(F7, ["a"], [[1]]))
-
-
-def test_apply_cocycle_preserves_minors():
-    # a verified gauge table multiplies in without moving any principal minor
-    rng = random.Random(13)
-    for n in (2, 4, 6):
-        k = _random_kernel(rng, Q, n)
-        c = Cocycle.from_gauge(_random_gauge(rng, Q, k.labels))
-        m = k.apply_cocycle(c)
-        for r in range(n + 1):
-            for idx in itertools.combinations(range(n), r):
-                assert m.principal_minor(idx) == k.principal_minor(idx)
 
 
 def test_require_same_points():
@@ -308,9 +276,10 @@ def test_reversed_product_is_transpose_product():
     rng = random.Random(22)
     k = _random_kernel(rng, Q, 5)
     t = k.transpose()
-    for cyc in enumerate_3cycles(5):
-        assert reversed_cycle_product(k, cyc) == cycle_product(t, cyc)
-        assert cycle_product(k, cyc.reverse()) == reversed_cycle_product(k, cyc)
+    for a, b, c in itertools.combinations(range(5), 3):
+        for cyc in (Cycle((a, b, c)), Cycle((a, c, b))):
+            assert reversed_cycle_product(k, cyc) == cycle_product(t, cyc)
+            assert cycle_product(k, cyc.reverse()) == reversed_cycle_product(k, cyc)
 
 
 def test_cycle_product_invariance_under_rotation():
