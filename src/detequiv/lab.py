@@ -7,6 +7,7 @@ recovery pipeline so the two can act as checks on each other.
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from dataclasses import dataclass
@@ -37,17 +38,25 @@ class GroundTruth:
     transposed: bool
 
 
-def _random_value(rng, field):
-    if field.kind == "prime":
-        return rng.randrange(field.p)
-    return rng.randint(-_SPAN, _SPAN)
+def _slots(f):
+    """The draw slots (values, width, bits) of a free entry and of a unit of f."""
+    free, unit = ((range(f.p), range(1, f.p)) if f.kind == "prime" else
+                  (range(-_SPAN, _SPAN + 1), [*range(-_SPAN, 0), *range(1, _SPAN + 1)]))
+    return [(v, len(v), len(v).bit_length()) for v in (free, unit)]
 
 
-def _random_unit(rng, field):
-    if field.kind == "prime":
-        return rng.randrange(1, field.p)
-    v = rng.randint(1, 2 * _SPAN)
-    return v - _SPAN - 1 if v <= _SPAN else v - _SPAN  # uniform on nonzero
+def _draws(rng, slots):
+    """Yield values[rng.randrange(width)] for each slot (values, width, bits).
+
+    r = getrandbits(bits), redrawn while r >= width, is how randrange draws
+    on CPython 3.10-3.13; tests/test_lab.py pins the match.  Lazy, so a long
+    run of slots, such as search's whole budget, holds no list."""
+    getrandbits = rng.getrandbits
+    for values, width, bits in slots:
+        r = getrandbits(bits)
+        while r >= width:
+            r = getrandbits(bits)
+        yield values[r]
 
 
 def _place_zeros(rng, rows, n, count):
@@ -71,7 +80,8 @@ def gen_instance(spec):
     pair is equivalent by construction and the returned GroundTruth is the
     exact transform.  Raises GenerationBudgetExceeded when max_attempts
     rejections pass without an accept, which signals a field too small to
-    be nondegenerate at this n.
+    be nondegenerate at this n.  Values come from getrandbits exactly as
+    randrange makes them, which a test pins.
     """
     f = spec.field
     n = spec.n
@@ -79,11 +89,15 @@ def gen_instance(spec):
         raise ValueError(f"need n >= 1, got {n}")
     if spec.zero_edges < 0 or 2 * spec.zero_edges > n:
         raise ValueError(f"cannot place {spec.zero_edges} zero edges on {n} points")
+    if spec.max_attempts < 1:
+        raise ValueError(f"need max_attempts >= 1, got {spec.max_attempts}")
+    free, unit = _slots(f)
+    slots = [free if i == j else unit for i in range(n) for j in range(n)]
     rng = random.Random(spec.seed)
     rows = None
     for _ in range(spec.max_attempts):
-        candidate = [[_random_value(rng, f) if i == j else _random_unit(rng, f)
-                      for j in range(n)] for i in range(n)]
+        values = list(_draws(rng, slots))
+        candidate = [values[i * n:i * n + n] for i in range(n)]
         if spec.zero_edges:
             _place_zeros(rng, candidate, n, spec.zero_edges)
         if class_d_ok(f, candidate):
@@ -95,7 +109,7 @@ def gen_instance(spec):
             f"{spec.max_attempts} attempts", attempts=spec.max_attempts)
     labels = [str(i + 1) for i in range(n)]
     k = Kernel(f, labels, rows)
-    gauge = Gauge(f, labels, [_random_unit(rng, f) for _ in range(n)])
+    gauge = Gauge(f, labels, _draws(rng, [unit] * n))
     source = k.transpose() if spec.transpose else k
     q = source.conjugate(gauge)
     return k, q, GroundTruth(gauge=gauge, transposed=spec.transpose)
@@ -111,11 +125,11 @@ def perturb(k, q, seed):
     require_same_points(k, q)
     f = k.field
     n = k.n
+    slots = [(range(n), n, n.bit_length())] * 2 + _slots(f)[:1]
     rng = random.Random(seed)
     for _ in range(10000):
-        i = rng.randrange(n)
-        j = rng.randrange(n)
-        value = f.coerce(_random_value(rng, f))
+        i, j, value = _draws(rng, slots)
+        value = f.coerce(value)
         if value == q.rows[i][j]:
             continue
         rows = [list(row) for row in q.rows]
@@ -277,7 +291,8 @@ def search_counterexample(field, n, budget, seed):
     rigidity theorem, so it raises instead of being returned.  Below n = 4
     the theorem says nothing and the scan holds vacuously, so hits there
     need not be degenerate.  Results are sorted by their serialized form;
-    an empty list is a normal outcome.
+    an empty list is a normal outcome.  Both kernels come from getrandbits
+    exactly as randrange(p^(n*n)) makes them, which a test pins.
     """
     if not isinstance(field, PrimeField):
         raise ValueError("counterexample search runs over prime fields")
@@ -286,14 +301,14 @@ def search_counterexample(field, n, budget, seed):
     p = field.p
     rng = random.Random(seed)
     space = p ** (n * n)
+    whole = (range(space), space, space.bit_length())
+    draws = _draws(rng, itertools.repeat(whole, 2 * budget))
     powers = [p**t for t in range(n * n)]
     diag_slots = [powers[i * n + i] for i in range(n)]
     upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
     labels = [str(i + 1) for i in range(n)]
     hits = []
-    for _ in range(budget):
-        a = rng.randrange(space)
-        b = rng.randrange(space)
+    for a, b in zip(draws, draws):
         if any((a // s) % p != (b // s) % p for s in diag_slots):
             continue
         arows = [[(a // powers[i * n + j]) % p for j in range(n)] for i in range(n)]

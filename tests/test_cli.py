@@ -162,6 +162,14 @@ def test_gen_transpose_flag_lands_in_truth(tmp_path):
     assert bundle["truth"]["transposed"] is True
 
 
+@pytest.mark.parametrize("attempts", ["0", "-4"])
+def test_gen_rejects_a_budget_below_one(attempts, capsys):
+    assert main(["gen", "--field", "prime:7", "--n", "4",
+                 "--max-attempts", attempts]) == 2
+    err = capsys.readouterr().err
+    assert "max_attempts >= 1" in err and "found in" not in err
+
+
 def test_perturb_then_refute(tmp_path):
     kp, qp, _, _, _ = _gen_pair_files(tmp_path, field=Q, seed=10)
     bad = tmp_path / "bad.json"

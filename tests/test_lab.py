@@ -2,7 +2,9 @@
 
 The oracle is itself cross-checked against a full enumeration written in the
 test (no shared code, no fixed base point), and against its own former loop,
-kept here as the reference for its exact answers.
+kept here as the reference for its exact answers.  The seeded draws of gen,
+perturb and search are likewise checked against their former randrange
+loops, and the sampler under them against randrange and randint.
 """
 
 import itertools
@@ -12,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from detequiv.classd import check_class_d
+from detequiv.classd import check_class_d, class_d_ok
 from detequiv.equivalence import certify, check_equivalence
 from detequiv.errors import (
     ClassDViolation,
@@ -26,6 +28,7 @@ from detequiv.kernels import Gauge, Kernel
 from detequiv.lab import (
     InstanceSpec,
     OracleResult,
+    _draws,
     brute_force_diagonal_similar,
     gen_instance,
     perturb,
@@ -83,6 +86,13 @@ def test_gen_instance_validation():
         gen_instance(InstanceSpec(field=F7, n=4, zero_edges=3))
 
 
+@pytest.mark.parametrize("attempts", [0, -4])
+def test_gen_instance_rejects_a_budget_below_one(attempts):
+    # with nothing tried, "no kernel found in 0 attempts" would blame the field
+    with pytest.raises(ValueError, match="max_attempts >= 1"):
+        gen_instance(InstanceSpec(field=F7, n=4, max_attempts=attempts))
+
+
 def test_gen_instance_budget_exceeded_over_tiny_field():
     # off-diagonal entries over GF(2) are all 1, so every cross minor is
     # 1 - 1 = 0 and no draw can ever be accepted
@@ -90,6 +100,144 @@ def test_gen_instance_budget_exceeded_over_tiny_field():
     with pytest.raises(GenerationBudgetExceeded) as info:
         gen_instance(spec)
     assert info.value.attempts == 50
+
+
+# ---------------------------------------------- draws against randrange
+
+_WIDTHS = [1, 2, 6, 7, 18, 19, 2**16 - 1, 2**16, 2**16 + 1, 2**32 + 1,
+           3**16, 5**16]  # 2**16 is also p**16 for p = 2
+
+
+def _slot(lo, width):
+    return range(lo, lo + width), width, width.bit_length()
+
+
+@pytest.mark.parametrize("width", _WIDTHS)
+def test_draws_match_randrange_and_randint(width):
+    # same values, and the generators end in the same state
+    for seed in range(60):
+        for lo in (0, 1, -9):
+            mine, theirs = random.Random(seed), random.Random(seed)
+            got = list(_draws(mine, [_slot(lo, width)] * 20))
+            if seed % 2:
+                want = [theirs.randint(lo, lo + width - 1) for _ in range(20)]
+            else:
+                want = [theirs.randrange(lo, lo + width) for _ in range(20)]
+            assert got == want, (width, seed, lo)
+            assert mine.random() == theirs.random()
+
+
+def test_draws_match_randrange_over_mixed_slots():
+    for seed in range(200):
+        mine, theirs = random.Random(seed), random.Random(seed)
+        widths = [_WIDTHS[(seed * 7 + t * 5) % len(_WIDTHS)] for t in range(30)]
+        got = list(_draws(mine, [_slot(0, w) for w in widths]))
+        assert got == [theirs.randrange(w) for w in widths]
+        assert mine.random() == theirs.random()
+
+
+def _former_value(rng, f):
+    return rng.randrange(f.p) if f.kind == "prime" else rng.randint(-9, 9)
+
+
+def _former_unit(rng, f):
+    if f.kind == "prime":
+        return rng.randrange(1, f.p)
+    v = rng.randint(1, 18)
+    return v - 10 if v <= 9 else v - 9  # uniform on -9..-1, 1..9
+
+
+def _gen_reference(spec):
+    # gen_instance's former loop: each entry a randrange/randint call, zero
+    # edges placed as before; None when the budget runs out
+    f, n = spec.field, spec.n
+    rng = random.Random(spec.seed)
+    for _ in range(spec.max_attempts):
+        rows = [[_former_value(rng, f) if i == j else _former_unit(rng, f)
+                 for j in range(n)] for i in range(n)]
+        if spec.zero_edges:
+            chosen = rng.sample(range(n), 2 * spec.zero_edges)
+            for t in range(spec.zero_edges):
+                u, v = chosen[2 * t], chosen[2 * t + 1]
+                rows[u][v] = 0
+                if rng.random() < 0.5:
+                    rows[v][u] = 0
+        if class_d_ok(f, rows):
+            break
+    else:
+        return None
+    labels = [str(i + 1) for i in range(n)]
+    k = Kernel(f, labels, rows)
+    gauge = Gauge(f, labels, [_former_unit(rng, f) for _ in range(n)])
+    return k, (k.transpose() if spec.transpose else k).conjugate(gauge), gauge
+
+
+def _perturb_reference(k, q, seed):
+    # perturb's former loop
+    f, n = k.field, k.n
+    rng = random.Random(seed)
+    while True:
+        i, j = rng.randrange(n), rng.randrange(n)
+        value = f.coerce(_former_value(rng, f))
+        if value == q.rows[i][j]:
+            continue
+        rows = [list(row) for row in q.rows]
+        rows[i][j] = value
+        candidate = Kernel(f, k.labels, rows)
+        if not check_equivalence(q, candidate, max_order=min(3, n)).equivalent:
+            return candidate
+
+
+_GEN_FIELDS = [PrimeField(2), F3, F7, PrimeField(101), PrimeField(1000003), Q]
+
+
+@pytest.mark.parametrize("field", _GEN_FIELDS, ids=repr)
+def test_gen_and_perturb_match_their_randrange_loops(field):
+    made = 0
+    for n in (1, 2, 3, 4, 5, 6):
+        for flip in (False, True):
+            for zeros in range(min(2, n // 2) + 1):
+                for seed in range(10 if n < 4 else 4):
+                    spec = InstanceSpec(field=field, n=n, transpose=flip,
+                                        zero_edges=zeros, seed=seed,
+                                        max_attempts=100)
+                    want = _gen_reference(spec)
+                    if want is None:
+                        with pytest.raises(GenerationBudgetExceeded):
+                            gen_instance(spec)
+                        continue
+                    k, q, truth = gen_instance(spec)
+                    assert (k, q, truth.gauge) == want, (spec, k.rows)
+                    assert perturb(k, q, seed) == _perturb_reference(k, q, seed)
+                    made += 1
+    assert made >= 100, made
+
+
+def _search_reference(field, n, budget, seed):
+    # search_counterexample's former draw, randrange(p^(n*n)) twice a sample,
+    # with no screen before the full comparison; the (k, q) of every hit
+    p = field.p
+    rng = random.Random(seed)
+    labels = [str(i + 1) for i in range(n)]
+    pairs = []
+    for _ in range(budget):
+        k, q = (Kernel(field, labels, [[x // p ** (i * n + j) % p
+                                        for j in range(n)] for i in range(n)])
+                for x in (rng.randrange(p ** (n * n)), rng.randrange(p ** (n * n))))
+        if (check_equivalence(k, q).equivalent
+                and not brute_force_diagonal_similar(k, q).found):
+            pairs.append(json.dumps([k.to_doc(), q.to_doc()]))
+    return sorted(pairs)
+
+
+@pytest.mark.parametrize("p, n, budget", [
+    (2, 2, 300), (2, 3, 1500), (2, 4, 1500), (3, 3, 1500), (3, 4, 1000),
+    (7, 3, 500), (101, 2, 300)])
+def test_search_matches_its_randrange_loop(p, n, budget):
+    for seed in range(3):
+        hits = search_counterexample(PrimeField(p), n, budget, seed)
+        got = sorted(json.dumps([h["k"], h["q"]]) for h in hits)
+        assert got == _search_reference(PrimeField(p), n, budget, seed)
 
 
 # ------------------------------------------------------------ perturbation
