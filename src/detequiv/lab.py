@@ -282,10 +282,13 @@ def search_counterexample(field, n, budget, seed):
     """Hunt for equivalent pairs that no diagonal transform (flipped or not)
     explains.
 
-    Samples `budget` kernel pairs over a small prime field, screens them
-    with the order-1/order-2 consequences before paying for anything
-    heavier, and puts every survivor through the full minor comparison and
-    the exhaustive oracle.  From n = 4 on, emitted pairs are re-verified
+    Samples `budget` kernel pairs over a small prime field, each kernel one
+    draw below p^(n*n) whose base-p digit i*n + j is entry (i, j).  Two
+    screens come before anything heavier: the diagonals (the order-1
+    minors) must agree, compared digit by digit from the lowest up to the
+    first mismatch, and then the pair products k(i,j) k(j,i), which fix the
+    order-2 minors.  Every survivor goes through the full minor comparison
+    and the exhaustive oracle.  From n = 4 on, emitted pairs are re-verified
     and must be degenerate (fail the cross-minor scan) on at least one side;
     an equivalent nondegenerate pair with no transform would contradict the
     rigidity theorem, so it raises instead of being returned.  Below n = 4
@@ -300,22 +303,32 @@ def search_counterexample(field, n, budget, seed):
         raise ValueError("need n >= 1 and budget >= 0")
     p = field.p
     rng = random.Random(seed)
-    space = p ** (n * n)
+    cells = n * n
+    space = p ** cells
     whole = (range(space), space, space.bit_length())
     draws = _draws(rng, itertools.repeat(whole, 2 * budget))
-    powers = [p**t for t in range(n * n)]
-    diag_slots = [powers[i * n + i] for i in range(n)]
-    upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    step = p ** (n + 1)  # from diagonal digit i*n + i to the next
+    pairs = [(i * n + j, j * n + i) for i in range(n) for j in range(i + 1, n)]
     labels = [str(i + 1) for i in range(n)]
     hits = []
     for a, b in zip(draws, draws):
-        if any((a // s) % p != (b // s) % p for s in diag_slots):
+        x, y, m = a, b, n  # m: diagonal digits left, lowest first
+        while m and x % p == y % p:
+            x //= step
+            y //= step
+            m -= 1
+        if m:
             continue
-        arows = [[(a // powers[i * n + j]) % p for j in range(n)] for i in range(n)]
-        brows = [[(b // powers[i * n + j]) % p for j in range(n)] for i in range(n)]
-        if any((arows[i][j] * arows[j][i] - brows[i][j] * brows[j][i]) % p
-               for i, j in upper):
+        adigits, bdigits = [], []
+        for x, digits in ((a, adigits), (b, bdigits)):
+            for _ in range(cells):
+                x, d = divmod(x, p)
+                digits.append(d)
+        if any((adigits[u] * adigits[v] - bdigits[u] * bdigits[v]) % p
+               for u, v in pairs):
             continue
+        arows = [adigits[t:t + n] for t in range(0, cells, n)]
+        brows = [bdigits[t:t + n] for t in range(0, cells, n)]
         k = Kernel(field, labels, arows)
         q = Kernel(field, labels, brows)
         if not check_equivalence(k, q).equivalent:

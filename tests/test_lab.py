@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import pytest
 
+from detequiv import lab
 from detequiv.classd import check_class_d, class_d_ok
 from detequiv.equivalence import certify, check_equivalence
 from detequiv.errors import (
@@ -238,6 +239,102 @@ def test_search_matches_its_randrange_loop(p, n, budget):
         hits = search_counterexample(PrimeField(p), n, budget, seed)
         got = sorted(json.dumps([h["k"], h["q"]]) for h in hits)
         assert got == _search_reference(PrimeField(p), n, budget, seed)
+
+
+def _screen_reference(p, n, budget, seed):
+    # search_counterexample's former screen on its randrange draws: equal
+    # diagonals by a big-int division per diagonal slot, then equal pair
+    # products on rows decoded one entry at a time; the (k, q) rows of
+    # every pair that passes both
+    rng = random.Random(seed)
+    space = p ** (n * n)
+    powers = [p ** t for t in range(n * n)]
+    diag_slots = [powers[i * n + i] for i in range(n)]
+    survivors = []
+    for _ in range(budget):
+        a, b = rng.randrange(space), rng.randrange(space)
+        if any(a // s % p != b // s % p for s in diag_slots):
+            continue
+        arows, brows = ([[x // powers[i * n + j] % p for j in range(n)]
+                         for i in range(n)] for x in (a, b))
+        if any((arows[i][j] * arows[j][i] - brows[i][j] * brows[j][i]) % p
+               for i in range(n) for j in range(i + 1, n)):
+            continue
+        survivors.append((arows, brows))
+    return survivors
+
+
+def _record_survivors(monkeypatch):
+    # the (k, q) rows of every pair search_counterexample hands to the full
+    # comparison, through lab's own binding of check_equivalence
+    seen = []
+
+    def recording(k, q, *args, **kwargs):
+        seen.append(tuple([list(row) for row in m.rows] for m in (k, q)))
+        return check_equivalence(k, q, *args, **kwargs)
+
+    monkeypatch.setattr(lab, "check_equivalence", recording)
+    return seen
+
+
+@pytest.mark.parametrize("p, budget", [(2, 3000), (3, 3000), (7, 2000),
+                                       (101, 1000)])
+def test_search_screen_matches_the_division_screen(monkeypatch, p, budget):
+    # pins lab.search.survivor_ratio: the digit screen lets through exactly
+    # the pairs the former screen did, in the same order
+    seen = _record_survivors(monkeypatch)
+    total = 0
+    for n in range(1, 6):
+        for seed in range(4):
+            seen.clear()
+            search_counterexample(PrimeField(p), n, budget, seed)
+            want = _screen_reference(p, n, budget, seed)
+            assert len(seen) == len(want), (p, n, seed)
+            assert seen == want, (p, n, seed)
+            total += len(want)
+    assert total, p
+
+
+def _sample(p, rows):
+    return sum(x * p ** t for t, x in enumerate(itertools.chain(*rows)))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_search_screens_planted_samples(monkeypatch, p):
+    base = [[1, 1, 1],
+            [0, 1, 1],
+            [1, 1, 0]]
+
+    def changed(i, j, value):
+        rows = [list(row) for row in base]
+        rows[i][j] = value
+        return rows
+
+    planted = {
+        "equal": (base, base),
+        # entry (2, 2) is the highest digit of the draw
+        "top diagonal": (base, changed(2, 2, 1)),
+        # entry (0, 1) sits just above diagonal digit 0; its partner (1, 0)
+        # is zero, so both pair products stay zero
+        "above a diagonal digit": (base, changed(0, 1, 0)),
+        # entry (1, 2) moves the pair product k(1,2) k(2,1) from 1 to 0
+        "pair product": (base, changed(1, 2, 0)),
+    }
+    pairs = list(planted.values())
+    values = [_sample(p, rows) for pair in pairs for rows in pair]
+    monkeypatch.setattr(lab, "_draws", lambda rng, slots: iter(values))
+    seen = _record_survivors(monkeypatch)
+    search_counterexample(PrimeField(p), 3, len(pairs), seed=0)
+    reached = [name for name, pair in planted.items() if pair in seen]
+    assert reached == ["equal", "above a diagonal digit"]
+    assert len(seen) == 2
+
+    # n = 1 has one digit, the diagonal, and no pairs to screen
+    values = [1, 1, 0, 1, 1, 0, p - 1, p - 1]
+    monkeypatch.setattr(lab, "_draws", lambda rng, slots: iter(values))
+    seen.clear()
+    search_counterexample(PrimeField(p), 1, 4, seed=0)
+    assert seen == [([[1]], [[1]]), ([[p - 1]], [[p - 1]])]
 
 
 # ------------------------------------------------------------ perturbation
