@@ -7,18 +7,13 @@ them is recovered constructively and re-verified.  Seeded generators,
 brute-force oracles and a counterexample search round out the toolkit.
 """
 
-from .classd import (
-    ClassDReport,
-    check_class_d,
-    zero_pattern_validate,
-)
+from .classd import ClassDReport, check_class_d
 from .classify import (
     CaseLabel,
     CaseTable,
     CycleClassification,
     GlobalCase,
     classify_3cycle,
-    four_point_audit,
     global_case,
 )
 from .equivalence import (
@@ -26,7 +21,6 @@ from .equivalence import (
     PrecheckReport,
     check_equivalence,
     quick_consequences,
-    trace_identity_audit,
 )
 from .errors import (
     BranchUnavailable,
@@ -49,7 +43,6 @@ from .kernels import (
     Kernel,
     cycle_product,
     require_same_points,
-    reversed_cycle_product,
 )
 from .lab import (
     GroundTruth,
@@ -110,7 +103,6 @@ __all__ = [
     "determinant",
     "extract_gauge",
     "field_from_doc",
-    "four_point_audit",
     "gen_instance",
     "global_case",
     "is_prime",
@@ -118,9 +110,6 @@ __all__ = [
     "quick_consequences",
     "recover",
     "require_same_points",
-    "reversed_cycle_product",
     "search_counterexample",
-    "trace_identity_audit",
     "verify_cocycle",
-    "zero_pattern_validate",
 ]

@@ -25,16 +25,13 @@ nonzero: the same cross minors vanish and the witness is the same, found
 without a Fraction operation.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .fields import integer_rows
 
 
-@dataclass(frozen=True)
-class ClassDReport:
+class ClassDReport(NamedTuple):
     holds: bool
     witness: tuple = None         # lex-least ordered quadruple (x, y, z, w)
     witness_labels: tuple = None
@@ -141,35 +138,3 @@ def class_d_ok(field, rows):
     """The scan's verdict alone, on a matrix of field values, or over Q of
     ints alone; it stops at the first row pair with dependent columns."""
     return _vanishing_quad(field, rows, first=True) is None
-
-
-@dataclass(frozen=True)
-class ZeroPatternViolation:
-    zero_at: tuple   # (x, y) with h(x, y) = 0
-    conflict: tuple  # second zero in the same row or column
-
-
-def zero_pattern_validate(k):
-    """Check the zero layout a nondegenerate kernel forces.
-
-    Whenever h(x, y) = 0 with x != y, every h(x, z) and every h(z, y) for
-    z outside {x, y} must be nonzero: two zeros sharing a row or a column
-    would make a cross minor vanish outright.  Returns all violations.
-    """
-    rows = k.rows
-    n = k.n
-    zero = k.field.is_zero
-    out = []
-    for x in range(n):
-        for y in range(n):
-            if x == y or not zero(rows[x][y]):
-                continue
-            for z in range(n):
-                if z == x or z == y:
-                    continue
-                if zero(rows[x][z]):
-                    out.append(ZeroPatternViolation((x, y), (x, z)))
-                if zero(rows[z][y]):
-                    out.append(ZeroPatternViolation((x, y), (z, y)))
-    return tuple(out)
-

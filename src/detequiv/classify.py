@@ -7,11 +7,9 @@ and reversed products on both sides simultaneously, so the label does not
 depend on orientation and one orientation per triple is stored.
 """
 
-from __future__ import annotations
-
 import itertools
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import MixedCases
 from .kernels import Cycle, cycle_product, require_same_points
@@ -29,8 +27,7 @@ class GlobalCase(Enum):
     CASE2 = "case2"
 
 
-@dataclass(frozen=True)
-class CycleClassification:
+class CycleClassification(NamedTuple):
     cycle: Cycle
     label: CaseLabel
     k_forward: object
@@ -74,8 +71,7 @@ def classify_3cycle(k, q, cycle):
     return CycleClassification(cycle, label, kf, kr, qf, qr, zero_edges)
 
 
-@dataclass(frozen=True)
-class CaseTable:
+class CaseTable(NamedTuple):
     """Classification of one orientation per 3-subset, triples in lex order."""
 
     rows: tuple
@@ -127,25 +123,3 @@ def global_case(table):
     if first_flipped is not None:
         return GlobalCase.CASE2
     return GlobalCase.CASE1
-
-
-def four_point_audit(k, q):
-    """Check that the four 3-cycles inside every 4-subset share a framework.
-
-    Returns the violating 4-subsets together with the four labels; empty
-    means the audit passed.  For equivalent nondegenerate kernels this is a
-    theorem, so a nonempty result flags broken preconditions.
-    """
-    require_same_points(k, q)
-    if k.n < 4:
-        raise ValueError(f"four-point audit needs n >= 4, got n={k.n}")
-    label_of = {row.cycle.vertices: row.label
-                for row in CaseTable.build(k, q).rows}
-    violations = []
-    for quad in itertools.combinations(range(k.n), 4):
-        labels = tuple(label_of[t] for t in itertools.combinations(quad, 3))
-        if CaseLabel.CASE1_ONLY in labels and CaseLabel.CASE2_ONLY in labels:
-            violations.append((quad, labels))
-        elif CaseLabel.NEITHER in labels:
-            violations.append((quad, labels))
-    return tuple(violations)

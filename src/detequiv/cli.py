@@ -5,8 +5,6 @@ report), 2 bad input or unsatisfiable precondition, 3 internal fault: any
 exception that is neither a verdict nor bad input.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import sys

@@ -62,29 +62,25 @@ Only a pair without a certificate pays for the 3-cycle and 4-cycle sums
 and the walk, and only such a pair meets the guard on the walk's size.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .fields import _det_int_bareiss, _det_prime, integer_rows
-from .kernels import Cycle, Gauge, require_same_points
+from .kernels import Gauge, require_same_points
 
 _SCAN_GUARD = 2**20  # subsets; admits the full scan up to n = 20
 
 
-@dataclass(frozen=True)
-class PrecheckFailure:
+class PrecheckFailure(NamedTuple):
     kind: str        # "diagonal" or "pair"
     points: tuple    # (i,) or (i, j) with i < j
     k_value: object  # entry for "diagonal", two-entry product for "pair"
     q_value: object
 
 
-@dataclass(frozen=True)
-class PrecheckReport:
+class PrecheckReport(NamedTuple):
     failures: tuple
 
     @property
@@ -107,17 +103,28 @@ def quick_consequences(k, q):
         for s in _drift(k.field, *_integer_pair(k, q), (1, 2))))
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(NamedTuple):
     """A verdict with its witness, or with the certificate of ``certify``
-    on a certified positive; equality ignores the certificate."""
+    on a certified positive; equality and hash ignore the certificate."""
 
     equivalent: bool
     checked_order_max: int
     witness_subset: tuple = None   # smallest failing index set, lex-least
     witness_minor_k: object = None
     witness_minor_q: object = None
-    certificate: tuple = field(default=None, compare=False)
+    certificate: tuple = None
+
+    def __eq__(self, other):
+        if not isinstance(other, EquivalenceReport):
+            return NotImplemented
+        return self[:5] == other[:5]
+
+    def __ne__(self, other):
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
+
+    def __hash__(self):
+        return hash(self[:5])
 
 
 def check_equivalence(k, q, max_order=None):
@@ -429,29 +436,3 @@ _CYCLE_TERMS = (None, _diagonal, _pair_product, _three_cycle_sum,
 def _field_term(kern, s):
     """The closed-form term of kern on s, in field values."""
     return kern.field.coerce(_CYCLE_TERMS[len(s)](kern.rows, s))
-
-
-@dataclass(frozen=True)
-class TraceViolation:
-    cycle: object
-    k_sum: object
-    q_sum: object
-
-
-def trace_identity_audit(k, q):
-    """Check forward+reversed product agreement on every 3-cycle.
-
-    For determinantally equivalent kernels the sum of the forward and the
-    reversed product around any 3-cycle must agree between the two (it is
-    what is left of the order-3 minor once orders 1 and 2 are matched).
-    Returns the violating cycles, both orientations of each, sorted by
-    vertices; empty means the audit passed.
-    """
-    require_same_points(k, q)
-    violations = []
-    for a, b, c in _drift(k.field, *_integer_pair(k, q), (3,)):
-        ks, qs = _field_term(k, (a, b, c)), _field_term(q, (a, b, c))
-        violations.append(TraceViolation(Cycle((a, b, c)), ks, qs))
-        violations.append(TraceViolation(Cycle((a, c, b)), ks, qs))
-    violations.sort(key=lambda v: v.cycle.vertices)
-    return tuple(violations)

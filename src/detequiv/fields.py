@@ -5,8 +5,6 @@ objects in a canonical form (Fraction in lowest terms, int in [0, p)), so
 equality of values is plain ``==``.
 """
 
-from __future__ import annotations
-
 import math
 import re
 from fractions import Fraction

@@ -6,8 +6,6 @@ of entries along oriented cycles and principal minors of the matrix, so this
 module also owns cycles, diagonal gauges and two-point ratio tables.
 """
 
-from __future__ import annotations
-
 from .errors import FieldMismatch, LabelMismatch
 from .fields import determinant, field_from_doc
 
@@ -255,9 +253,3 @@ def cycle_product(k, cycle):
     for a, b in cycle.edges():
         out = f.mul(out, k.rows[a][b])
     return out
-
-
-def reversed_cycle_product(k, cycle):
-    """Same as cycle_product with every edge traversed backwards."""
-    return cycle_product(k, cycle.reverse())
-

@@ -5,12 +5,10 @@ produce the same instance, and the oracles are written independently of the
 recovery pipeline so the two can act as checks on each other.
 """
 
-from __future__ import annotations
-
 import itertools
 import json
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .classd import check_class_d, class_d_ok
 from .equivalence import check_equivalence
@@ -18,12 +16,11 @@ from .errors import GenerationBudgetExceeded
 from .fields import PrimeField
 from .kernels import Gauge, Kernel, require_same_points
 
-_ENUMERATION_GUARD = 10**7
+_ENUMERATION_GUARD = 10**6  # gauge values the GF(p) oracle may try, both flips
 _SPAN = 9  # rational entries and gauges are integers in [-_SPAN, _SPAN]
 
 
-@dataclass(frozen=True)
-class InstanceSpec:
+class InstanceSpec(NamedTuple):
     field: object
     n: int
     transpose: bool = False
@@ -32,8 +29,7 @@ class InstanceSpec:
     max_attempts: int = 100000
 
 
-@dataclass(frozen=True)
-class GroundTruth:
+class GroundTruth(NamedTuple):
     gauge: Gauge
     transposed: bool
 
@@ -140,8 +136,7 @@ def perturb(k, q, seed):
     raise RuntimeError("could not find a perturbation; this should not happen")
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     found: bool
     complete: bool
     transposed: bool = None
@@ -156,10 +151,11 @@ def brute_force_diagonal_similar(k, q):
     framework is searched depth first in lexicographic order, and a prefix
     is cut at the first entry it already fixes and gets wrong; the answer
     is the lexicographically least gauge, the direct framework winning a
-    tie, exactly the first hit of a plain enumeration.  It is complete
-    whenever the guarded bound n * (p-1)^(n-1) <= 1e7 allows it at all;
-    pruning only removes work, and that bound is the search's worst case
-    (a sparse pattern that binds only at the last point).  Over the
+    tie, exactly the first hit of a plain enumeration.  The two searches
+    share a guard of 10^6 values tried, and past it the oracle raises
+    ValueError instead of answering; a dense pattern prunes almost every
+    prefix, and a sparse one that binds only at the last point tries about
+    (p-1)^(n-1) values a flip.  Every answer it gives is complete.  Over the
     rationals: gauge propagation along nonzero entries plus a full
     re-check; complete when the nonzero pattern is connected, otherwise a
     miss is reported with complete=False rather than guessed.
@@ -174,15 +170,11 @@ def _enumerate_prime(k, q):
     f = k.field
     p = f.p
     n = k.n
-    work = n * (p - 1) ** (n - 1)
-    if work > _ENUMERATION_GUARD:
-        raise ValueError(
-            f"enumeration needs ~{work} checks, over the {_ENUMERATION_GUARD} guard")
     # a gauge fixes no diagonal entry, and k and its transpose share them
     if any(k.rows[i][i] != q.rows[i][i] for i in range(n)):
         return OracleResult(False, True)
-    direct = _least_gauge(k.rows, q.rows, p)
-    flipped = _least_gauge(list(zip(*k.rows)), q.rows, p)
+    direct, budget = _least_gauge(k.rows, q.rows, p, _ENUMERATION_GUARD)
+    flipped, _ = _least_gauge(list(zip(*k.rows)), q.rows, p, budget)
     if direct is None and flipped is None:
         return OracleResult(False, True)
     transposed = direct is None or (flipped is not None and flipped < direct)
@@ -190,8 +182,9 @@ def _enumerate_prime(k, q):
     return OracleResult(True, True, transposed, Gauge(f, k.labels, g))
 
 
-def _least_gauge(t, q, p):
-    """The lexicographically least g with g[0] = 1 and q = g t g^(-1), or None.
+def _least_gauge(t, q, p, budget):
+    """The lexicographically least g with g[0] = 1 and q = g t g^(-1), or
+    None, and what is left of budget, the values the search may try.
 
     Depth-first over g[1], g[2], ..., each taking the values 1..p-1 in
     increasing order.  A value v at depth m is kept when the entries that
@@ -199,7 +192,8 @@ def _least_gauge(t, q, p):
     q(i,m) v = g[i] t(i,m) and v t(m,i) = q(m,i) g[i]; when no value is
     left the search backs up a point.  Every off-diagonal entry is checked
     once the later of its two points is fixed, so a returned gauge holds on
-    all of them; the caller checks the diagonal.
+    all of them; the caller checks the diagonal.  Raises ValueError once
+    more values than budget have been tried.
     """
     n = len(t)
     g = [1] * n
@@ -209,18 +203,27 @@ def _least_gauge(t, q, p):
         if v == 0:
             closes[m] = [(q[i][m], g[i] * t[i][m] % p, t[m][i], q[m][i] * g[i] % p)
                          for i in range(m)]
+        start = v
         for v in range(v + 1, p):
             for c, a, d, b in closes[m]:
                 if (c * v - a) % p or (d * v - b) % p:
                     break
             else:
-                g[m] = v
-                m, v = m + 1, 0
+                kept = True
                 break
+        else:
+            kept = False
+        budget -= v - start  # an exhausted depth ends on v = p - 1
+        if budget < 0:
+            raise ValueError(f"gauge search tried over {_ENUMERATION_GUARD} "
+                             "values, the guard")
+        if kept:
+            g[m] = v
+            m, v = m + 1, 0
         else:
             m -= 1
             v = g[m]
-    return g if m == n else None
+    return (g if m == n else None), budget
 
 
 def _propagate_rational(k, q):

@@ -30,9 +30,7 @@ scan and the nondegeneracy scan both pass, two failed solves are an
 internal fault.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .classd import check_class_d
 from .classify import GlobalCase
@@ -93,15 +91,13 @@ def build_cocycle_case1(k, q):
     return Cocycle(f, k.labels, rows)
 
 
-@dataclass(frozen=True)
-class CocycleViolation:
+class CocycleViolation(NamedTuple):
     law: str        # "unit_diagonal", "reciprocal_pair" or "triangle"
     points: tuple
     value: object
 
 
-@dataclass(frozen=True)
-class CocycleCheck:
+class CocycleCheck(NamedTuple):
     ok: bool
     violation: CocycleViolation = None
 
@@ -198,8 +194,7 @@ def consistency_audit(k, q, x, y, case=GlobalCase.CASE1):
     return values[0]
 
 
-@dataclass(frozen=True)
-class RecoveryResult:
+class RecoveryResult(NamedTuple):
     transposed: bool
     gauge: Gauge
     base_label: str

@@ -11,9 +11,9 @@ import random
 import time
 from fractions import Fraction
 
-from detequiv.classd import check_class_d, zero_pattern_validate
-from detequiv.classify import CaseLabel, CaseTable, GlobalCase, four_point_audit
-from detequiv.equivalence import check_equivalence, trace_identity_audit
+from detequiv.classd import check_class_d
+from detequiv.classify import CaseLabel, CaseTable, GlobalCase
+from detequiv.equivalence import check_equivalence
 from detequiv.errors import (
     ClassDViolation,
     MixedCases,
@@ -27,7 +27,6 @@ from detequiv.kernels import (
     Gauge,
     Kernel,
     cycle_product,
-    reversed_cycle_product,
 )
 from detequiv.lab import (
     InstanceSpec,
@@ -37,6 +36,12 @@ from detequiv.lab import (
     search_counterexample,
 )
 from detequiv.recovery import consistency_audit, recover, verify_cocycle
+from reference_audits import (
+    four_point_audit,
+    reversed_cycle_product,
+    trace_identity_audit,
+    zero_pattern_validate,
+)
 
 Q = Rationals()
 F3 = PrimeField(3)

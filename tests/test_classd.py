@@ -9,13 +9,10 @@ import itertools
 import random
 from fractions import Fraction
 
-from detequiv.classd import (
-    check_class_d,
-    class_d_ok,
-    zero_pattern_validate,
-)
+from detequiv.classd import check_class_d, class_d_ok
 from detequiv.fields import PrimeField, Rationals, integer_rows
 from detequiv.kernels import Gauge, Kernel
+from reference_audits import zero_pattern_validate
 
 Q = Rationals()
 F7 = PrimeField(7)

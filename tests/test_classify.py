@@ -11,12 +11,12 @@ from detequiv.classify import (
     CycleClassification,
     GlobalCase,
     classify_3cycle,
-    four_point_audit,
     global_case,
 )
 from detequiv.errors import MixedCases
 from detequiv.fields import PrimeField, Rationals
 from detequiv.kernels import Cycle, Gauge, Kernel, cycle_product
+from reference_audits import four_point_audit
 
 Q = Rationals()
 F7 = PrimeField(7)

@@ -16,6 +16,7 @@ from detequiv.lab import InstanceSpec, gen_instance
 from detequiv.recovery import recover
 
 from test_equivalence import _five_cycle_pair
+from test_lab import _sparse_pair
 
 Q = Rationals()
 F7 = PrimeField(7)
@@ -190,6 +191,16 @@ def test_oracle_command(tmp_path):
     bad = tmp_path / "bad.json"
     main(["perturb", "--k", kp, "--q", qp, "--seed", "1", "--out", str(bad)])
     assert main(["oracle", "--k", kp, "--q", str(bad)]) == 1
+
+
+def test_oracle_refuses_past_its_guard(tmp_path, capsys):
+    # at GF(11), n = 7, the sparse pair would try 2 (10 + ... + 10^6) values,
+    # past the 10^6 of the guard
+    k, q = _sparse_pair(11, 7)
+    kp = _write_doc(tmp_path / "k.json", k.to_doc())
+    qp = _write_doc(tmp_path / "q.json", q.to_doc())
+    assert main(["oracle", "--k", kp, "--q", qp]) == 2
+    assert "guard" in capsys.readouterr().err
 
 
 def test_search_command(tmp_path):

@@ -15,15 +15,14 @@ from detequiv.equivalence import (
     EquivalenceReport,
     PrecheckFailure,
     PrecheckReport,
-    TraceViolation,
     check_equivalence,
     quick_consequences,
-    trace_identity_audit,
 )
 from detequiv.errors import LabelMismatch
 from detequiv.fields import PrimeField, Rationals, integer_rows
 from detequiv.kernels import Cycle, Gauge, Kernel, cycle_product
 from detequiv.lab import _place_zeros
+from reference_audits import TraceViolation, trace_identity_audit
 
 Q = Rationals()
 F7 = PrimeField(7)

@@ -20,8 +20,8 @@ from detequiv.kernels import (
     Kernel,
     cycle_product,
     require_same_points,
-    reversed_cycle_product,
 )
+from reference_audits import reversed_cycle_product
 
 Q = Rationals()
 F7 = PrimeField(7)

@@ -419,8 +419,31 @@ def test_oracle_recovers_generated_instances():
         assert target.conjugate(res.gauge) == q
 
 
-def test_oracle_enumeration_guard():
+def _sparse_pair(p, n):
+    # the identity against itself with one more entry, at the last point:
+    # every prefix binds nothing until its last value, which always fails
+    f = PrimeField(p)
+    labels = [str(i + 1) for i in range(n)]
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    q = [row[:] for row in rows]
+    q[n - 2][n - 1] = 1
+    return Kernel(f, labels, rows), Kernel(f, labels, q)
+
+
+def test_oracle_enumeration_guard(monkeypatch):
+    # the guard counts the values the search tries, not n (p-1)^(n-1), so a
+    # dense GF(101) pair at n = 5 answers, with recover's flip and gauge
     k, q, _ = gen_instance(InstanceSpec(field=PrimeField(101), n=5, seed=2))
+    res = brute_force_diagonal_similar(k, q)
+    rec = recover(k, q)
+    assert res.found and res.complete
+    assert (res.transposed, res.gauge) == (rec.transposed, rec.gauge)
+    # the sparse pair tries every value at every depth, for both flips:
+    # 2 (10 + 100 + 1000) values at GF(11), n = 4
+    k, q = _sparse_pair(11, 4)
+    monkeypatch.setattr(lab, "_ENUMERATION_GUARD", 2220)
+    assert brute_force_diagonal_similar(k, q) == OracleResult(False, True)
+    monkeypatch.setattr(lab, "_ENUMERATION_GUARD", 2219)
     with pytest.raises(ValueError):
         brute_force_diagonal_similar(k, q)
 
