@@ -37,7 +37,6 @@ from .errors import (
 )
 from .fields import PrimeField, Rationals, determinant, field_from_doc, is_prime
 from .kernels import (
-    Cocycle,
     Cycle,
     Gauge,
     Kernel,
@@ -70,7 +69,6 @@ __all__ = [
     "CaseTable",
     "ClassDReport",
     "ClassDViolation",
-    "Cocycle",
     "CycleClassification",
     "Cycle",
     "DetEquivError",

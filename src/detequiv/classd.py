@@ -16,7 +16,8 @@ minor on columns {y, z} vanishes exactly when the columns
 ratio h(w,c) / h(x,c), with inf where only h(x,c) is zero, or one of them
 is zero on both rows.  So each row pair takes one pass over the columns
 that keys each column by its ratio, and a collision of keys is a
-vanishing minor: O(n^3) in all, against O(n^4) quadruples.
+vanishing minor: O(n^3) in all, against O(n^4) quadruples.  The witness's
+columns then come from the cross minors themselves, on the two rows.
 
 Over Q each row x is scaled to integers by D_x, the lcm of its
 denominators.  The cross minor on rows {x,w} takes one entry from each of
@@ -38,7 +39,6 @@ class ClassDReport(NamedTuple):
 
 
 _X, _W = object(), object()   # keys of the row pair's own columns
-_WILD = object()              # key of a column that is zero on both rows
 
 
 def _vanishing_quad(field, rows, first=False):
@@ -49,10 +49,11 @@ def _vanishing_quad(field, rows, first=False):
     row pair (inf where only rows[x][c] is zero), and a column zero on
     both rows is wild: columns y, z outside {x, w} make the cross minor
     vanish exactly when their keys collide or one is wild (module
-    docstring).  The witness takes the least x with any, then the least
-    (y, z, w) over its row pairs: the least (x, y, z, w) with x < w and
-    y < z, which is the least ordering of any vanishing quadruple, as the
-    others swap the rows or the columns of the same minor.
+    docstring), and ``_least_pair`` finds the least such pair.  The witness
+    takes the least x with any, then the least (y, z, w) over its row
+    pairs: the least (x, y, z, w) with x < w and y < z, which is the least
+    ordering of any vanishing quadruple, as the others swap the rows or the
+    columns of the same minor.
 
     Row x is inverted once for all its row pairs.  Over GF(p), entries in
     [0, p), each inverse is computed once per value.  Over Q, rows of
@@ -67,6 +68,7 @@ def _vanishing_quad(field, rows, first=False):
     p = field.p if field.kind == "prime" else None
     if not p and type(rows[0][0]) is not int:
         (rows,), _ = integer_rows(field, rows)
+    differ = p.__rmod__ if p else bool
     cache = {0: 0}   # inverses over GF(p), by value
     best = None
     for x, row_x in enumerate(rows):
@@ -89,13 +91,12 @@ def _vanishing_quad(field, rows, first=False):
                 if row_w[c]:
                     keys[c] = math.inf
                 elif c != w:
-                    keys[c] = _WILD
                     wild.append(c)
             keys[x], keys[w] = _X, _W
             if wild or len(set(keys)) < n:
                 if first:
                     return x, w
-                quad = (x, *_least_pair(keys, x, w, wild), w)
+                quad = (x, *_least_pair(row_x, row_w, x, w, differ), w)
                 if best is None or quad < best:
                     best = quad
         if best is not None:
@@ -103,27 +104,13 @@ def _vanishing_quad(field, rows, first=False):
     return None
 
 
-def _least_pair(keys, x, w, wild):
-    """The least columns y < z outside {x, w} whose keys collide, or of
-    which one is wild; the row pair must have such a pair."""
-    cols = [c for c in range(len(keys)) if c != x and c != w]
-    y = cols[0]
-    if wild:
-        # a wild column collides with every other: the least column has a
-        # later partner, the next column if it is wild itself
-        if y == wild[0]:
-            return y, cols[1]
-        return y, min(wild[0], next((c for c in cols if c > y
-                                     and keys[c] == keys[y]), wild[0]))
-    first = {}
-    pairs = {}
-    for c in cols:
-        key = keys[c]
-        if key in first:
-            pairs.setdefault(key, (first[key], c))
-        else:
-            first[key] = c
-    return min(pairs.values())
+def _least_pair(row_x, row_w, x, w, differ):
+    """The least columns y < z outside {x, w} whose cross minor
+    row_x[y] row_w[z] - row_x[z] row_w[y] vanishes, as ``differ`` tells on
+    the integer difference; the row pair must have such a pair."""
+    cols = [c for c in range(len(row_x)) if c != x and c != w]
+    return next((y, z) for i, y in enumerate(cols) for z in cols[i + 1:]
+                if not differ(row_x[y] * row_w[z] - row_x[z] * row_w[y]))
 
 
 def check_class_d(k):

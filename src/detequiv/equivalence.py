@@ -67,7 +67,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .fields import _det_int_bareiss, _det_prime, integer_rows
+from .fields import _det_int_bareiss, integer_rows
 from .kernels import Gauge, require_same_points
 
 _SCAN_GUARD = 2**20  # subsets; admits the full scan up to n = 20
@@ -324,7 +324,7 @@ def _walk(field, kr, qr, cap):
 
         def eliminator(d, e):
             scale = pow(d, -e, p)
-            return lambda m: _det_prime(m, p) * scale % p
+            return lambda m: _det_int_bareiss(m) * scale % p
     else:
         def update(b, u, d, full):
             top = b[u]

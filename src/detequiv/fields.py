@@ -2,7 +2,8 @@
 
 Field objects bundle the operations; the values themselves stay plain Python
 objects in a canonical form (Fraction in lowest terms, int in [0, p)), so
-equality of values is plain ``==``.
+equality of values is plain ``==``.  Determinants are computed one way
+for both: on integer rows, eliminated fraction-free (``determinant``).
 """
 
 import math
@@ -187,10 +188,10 @@ def field_from_doc(doc):
 def determinant(field, rows):
     """Exact determinant of a square matrix of field values.
 
-    The empty matrix has determinant one.  Over the rationals each row is
-    scaled to integers and eliminated fraction-free (Bareiss), so no Fraction
-    arithmetic happens in the inner loop; over GF(p) it is ordinary Gaussian
-    elimination with the determinant accumulated from the pivots.
+    The empty matrix has determinant one.  Over both kinds of field the rows
+    are taken to integers (``integer_rows``) and eliminated fraction-free
+    (Bareiss), and the result is divided by the row scales in the field,
+    which over GF(p) reduces it mod p.
     """
     n = len(rows)
     for row in rows:
@@ -198,10 +199,9 @@ def determinant(field, rows):
             raise ValueError("determinant needs a square matrix")
     if n == 0:
         return field.one
-    if isinstance(field, PrimeField):
-        return _det_prime(rows, field.p)
     (scaled,), scales = integer_rows(field, rows)
-    return Fraction(_det_int_bareiss(scaled), math.prod(scales))
+    det = _det_int_bareiss([list(row) for row in scaled])
+    return field.div(det, math.prod(scales))
 
 
 def integer_rows(field, *matrices):
@@ -250,32 +250,3 @@ def _det_int_bareiss(m):
             row_i[k] = 0
         prev = pivot
     return sign * m[n - 1][n - 1]
-
-
-def _det_prime(rows, p):
-    m = [list(row) for row in rows]
-    n = len(m)
-    det = 1
-    for k in range(n):
-        pivot_row = None
-        for i in range(k, n):
-            if m[i][k]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return 0
-        if pivot_row != k:
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            det = -det % p
-        pivot = m[k][k]
-        det = det * pivot % p
-        inv = pow(pivot, p - 2, p)
-        for i in range(k + 1, n):
-            factor = m[i][k] * inv % p
-            if factor:
-                row_i = m[i]
-                row_k = m[k]
-                for j in range(k + 1, n):
-                    row_i[j] = (row_i[j] - factor * row_k[j]) % p
-                row_i[k] = 0
-    return det

@@ -1,9 +1,10 @@
-"""Finite kernels and the cycle/gauge/cocycle helpers built on them.
+"""Finite kernels and the cycle and gauge helpers built on them.
 
 A kernel is a function of two points from a finite labelled set, stored as a
 square matrix of exact field values.  Everything downstream compares products
 of entries along oriented cycles and principal minors of the matrix, so this
-module also owns cycles, diagonal gauges and two-point ratio tables.
+module also owns cycles and diagonal gauges.  A two-point ratio table, such
+as the cocycle of ``recovery.build_cocycle_case1``, is a kernel too.
 """
 
 from .errors import FieldMismatch, LabelMismatch
@@ -193,46 +194,6 @@ class Gauge:
 
     def __repr__(self):
         return f"Gauge(n={len(self.labels)}, field={self.field!r})"
-
-
-class Cocycle:
-    """A two-point table c(x, y), candidate for the multiplicative cocycle laws.
-
-    Construction does not validate the laws; ``recovery.verify_cocycle``
-    does.  ``from_gauge`` builds the table c(x, y) = g(x) / g(y), which
-    satisfies them by construction.
-    """
-
-    __slots__ = ("field", "labels", "rows")
-
-    def __init__(self, field, labels, rows):
-        labels = tuple(labels)
-        n = len(labels)
-        rows = list(rows)
-        if len(rows) != n or any(len(row) != n for row in rows):
-            raise ValueError(f"cocycle table must be {n} x {n}")
-        self.field = field
-        self.labels = labels
-        self.rows = tuple(tuple(field.coerce(v) for v in row) for row in rows)
-
-    @property
-    def n(self):
-        return len(self.labels)
-
-    def entry(self, i, j):
-        return self.rows[i][j]
-
-    @classmethod
-    def from_gauge(cls, gauge):
-        f = gauge.field
-        n = len(gauge.labels)
-        inv = [f.inv(v) for v in gauge.values]
-        return cls(f, gauge.labels,
-                   [[f.mul(gauge.values[i], inv[j]) for j in range(n)]
-                    for i in range(n)])
-
-    def __repr__(self):
-        return f"Cocycle(n={self.n}, field={self.field!r})"
 
 
 def require_same_points(k, q):

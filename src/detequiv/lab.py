@@ -16,7 +16,7 @@ from .errors import GenerationBudgetExceeded
 from .fields import PrimeField
 from .kernels import Gauge, Kernel, require_same_points
 
-_ENUMERATION_GUARD = 10**6  # gauge values the GF(p) oracle may try, both flips
+_ENUMERATION_GUARD = 10**6  # closing entries the GF(p) oracle checks, both flips
 _SPAN = 9  # rational entries and gauges are integers in [-_SPAN, _SPAN]
 
 
@@ -152,13 +152,14 @@ def brute_force_diagonal_similar(k, q):
     is cut at the first entry it already fixes and gets wrong; the answer
     is the lexicographically least gauge, the direct framework winning a
     tie, exactly the first hit of a plain enumeration.  The two searches
-    share a guard of 10^6 values tried, and past it the oracle raises
-    ValueError instead of answering; a dense pattern prunes almost every
-    prefix, and a sparse one that binds only at the last point tries about
-    (p-1)^(n-1) values a flip.  Every answer it gives is complete.  Over the
-    rationals: gauge propagation along nonzero entries plus a full
-    re-check; complete when the nonzero pattern is connected, otherwise a
-    miss is reported with complete=False rather than guessed.
+    share a guard of 10^6 closing entries, m for each value tried at depth
+    m, and past it the oracle raises ValueError instead of answering; a
+    dense pattern prunes almost every prefix, and a sparse one that binds
+    only at the last point tries about (p-1)^(n-1) values a flip.  Every
+    answer it gives is complete.  Over the rationals: gauge propagation
+    along nonzero entries plus a full re-check; complete when the nonzero
+    pattern is connected, otherwise a miss is reported with complete=False
+    rather than guessed.
     """
     require_same_points(k, q)
     if isinstance(k.field, PrimeField):
@@ -184,7 +185,8 @@ def _enumerate_prime(k, q):
 
 def _least_gauge(t, q, p, budget):
     """The lexicographically least g with g[0] = 1 and q = g t g^(-1), or
-    None, and what is left of budget, the values the search may try.
+    None, and what is left of budget, the closing entries the search may
+    check.
 
     Depth-first over g[1], g[2], ..., each taking the values 1..p-1 in
     increasing order.  A value v at depth m is kept when the entries that
@@ -192,8 +194,9 @@ def _least_gauge(t, q, p, budget):
     q(i,m) v = g[i] t(i,m) and v t(m,i) = q(m,i) g[i]; when no value is
     left the search backs up a point.  Every off-diagonal entry is checked
     once the later of its two points is fixed, so a returned gauge holds on
-    all of them; the caller checks the diagonal.  Raises ValueError once
-    more values than budget have been tried.
+    all of them; the caller checks the diagonal.  Each value tried at depth
+    m is charged m, the entries it may check, so the budget bounds the
+    time at every n; raises ValueError once it is overdrawn.
     """
     n = len(t)
     g = [1] * n
@@ -213,10 +216,10 @@ def _least_gauge(t, q, p, budget):
                 break
         else:
             kept = False
-        budget -= v - start  # an exhausted depth ends on v = p - 1
+        budget -= (v - start) * m  # an exhausted depth ends on v = p - 1
         if budget < 0:
-            raise ValueError(f"gauge search tried over {_ENUMERATION_GUARD} "
-                             "values, the guard")
+            raise ValueError(f"gauge search checked over {_ENUMERATION_GUARD} "
+                             "closing entries, the guard")
         if kept:
             g[m] = v
             m, v = m + 1, 0

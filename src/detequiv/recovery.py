@@ -16,9 +16,11 @@ for the minors and the certificate, plus the O(n^3) row-pair scan of k for
 property D (``classd.check_class_d``).
 
 The paper's constructive route, the ratio table with its cocycle laws, is
-kept as the reference the tests compare against: whenever the table passes
-its laws, every pair is joined by a nonzero entry or a 2-path, so
-propagation returns the identical gauge.
+kept as the reference the tests compare against.  The table S, with
+Q = S K entrywise, is a ``Kernel`` on the same points, g(x) / g(y) when a
+gauge g relates the two.  Whenever the table passes its laws, every pair
+is joined by a nonzero entry or a 2-path, so propagation returns the
+identical gauge.
 
 A failure is a precise verdict: not equivalent, degenerate, or (for
 n <= 3, where the rigidity argument has no room to work) possibly just not
@@ -43,11 +45,12 @@ from .errors import (
     NotRecoverable,
     VerificationFailed,
 )
-from .kernels import Cocycle, Gauge, require_same_points
+from .kernels import Gauge, Kernel, require_same_points
 
 
 def build_cocycle_case1(k, q):
-    """The ratio table S with Q(x, y) = S(x, y) K(x, y) entrywise.
+    """The ratio table S with Q(x, y) = S(x, y) K(x, y) entrywise, as a
+    ``Kernel`` on k's points.
 
     Branches for x != y (diagonal entries are one):
 
@@ -88,7 +91,7 @@ def build_cocycle_case1(k, q):
                 row.append(f.div(f.mul(q.rows[x][z], q.rows[z][y]),
                                  f.mul(k.rows[x][z], k.rows[z][y])))
         rows.append(row)
-    return Cocycle(f, k.labels, rows)
+    return Kernel(f, k.labels, rows)
 
 
 class CocycleViolation(NamedTuple):

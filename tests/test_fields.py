@@ -215,7 +215,8 @@ def test_determinant_matches_cofactor_oracle_rational():
 
 def test_determinant_matches_cofactor_oracle_prime():
     rng = random.Random(102)
-    for f in (PrimeField(2), PrimeField(3), F7, PrimeField(101)):
+    for f in (PrimeField(2), PrimeField(3), F7, PrimeField(101),
+              PrimeField(1000003), PrimeField(2147483647)):
         for n in range(6):
             for _ in range(40):
                 rows = [[rng.randrange(f.p) for _ in range(n)] for _ in range(n)]

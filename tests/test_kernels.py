@@ -14,7 +14,6 @@ import pytest
 from detequiv.errors import FieldMismatch, LabelMismatch
 from detequiv.fields import PrimeField, Rationals
 from detequiv.kernels import (
-    Cocycle,
     Cycle,
     Gauge,
     Kernel,
@@ -221,7 +220,8 @@ def test_cocycle_from_gauge_table():
     for field in (Q, F7):
         k = _random_kernel(rng, field, 4)
         g = _random_gauge(rng, field, k.labels)
-        c = Cocycle.from_gauge(g)
+        # the all-ones kernel conjugated by g is the table g(x) / g(y)
+        c = Kernel(field, g.labels, [[field.one] * 4] * 4).conjugate(g)
         for i in range(4):
             assert c.entry(i, i) == field.one
             for j in range(4):

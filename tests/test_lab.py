@@ -431,19 +431,21 @@ def _sparse_pair(p, n):
 
 
 def test_oracle_enumeration_guard(monkeypatch):
-    # the guard counts the values the search tries, not n (p-1)^(n-1), so a
-    # dense GF(101) pair at n = 5 answers, with recover's flip and gauge
+    # the guard counts the closing entries the search checks, not
+    # n (p-1)^(n-1), so a dense GF(101) pair at n = 5 answers, with
+    # recover's flip and gauge
     k, q, _ = gen_instance(InstanceSpec(field=PrimeField(101), n=5, seed=2))
     res = brute_force_diagonal_similar(k, q)
     rec = recover(k, q)
     assert res.found and res.complete
     assert (res.transposed, res.gauge) == (rec.transposed, rec.gauge)
-    # the sparse pair tries every value at every depth, for both flips:
-    # 2 (10 + 100 + 1000) values at GF(11), n = 4
+    # the sparse pair tries every value at every depth, for both flips,
+    # and a value at depth m is charged its m closing entries:
+    # 2 (10·1 + 100·2 + 1000·3) entries at GF(11), n = 4
     k, q = _sparse_pair(11, 4)
-    monkeypatch.setattr(lab, "_ENUMERATION_GUARD", 2220)
+    monkeypatch.setattr(lab, "_ENUMERATION_GUARD", 6420)
     assert brute_force_diagonal_similar(k, q) == OracleResult(False, True)
-    monkeypatch.setattr(lab, "_ENUMERATION_GUARD", 2219)
+    monkeypatch.setattr(lab, "_ENUMERATION_GUARD", 6419)
     with pytest.raises(ValueError):
         brute_force_diagonal_similar(k, q)
 
@@ -545,7 +547,9 @@ def test_oracle_matches_reference_enumeration():
 
 @pytest.mark.parametrize("p, n", [(101, 4), (31, 5), (11, 7)])
 def test_oracle_reaches_the_guard_edge(p, n):
-    # n (p-1)^(n-1) is 4.0e6, 4.05e6 and 7e6, just inside the guard
+    # n (p-1)^(n-1), the unpruned count, is 4.0e6, 4.05e6 and 7e6; dense
+    # pairs prune almost every prefix, and none of these charges more than
+    # 900 of the guard's 10^6 closing entries
     f = PrimeField(p)
     labels = [str(i + 1) for i in range(n)]
     rng = random.Random(p * 100 + n)

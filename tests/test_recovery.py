@@ -18,7 +18,7 @@ from detequiv.errors import (
     NotEquivalent,
     NotRecoverable,
 )
-from detequiv.kernels import Cocycle, Gauge, Kernel
+from detequiv.kernels import Gauge, Kernel
 from detequiv.fields import PrimeField, Rationals
 from detequiv.recovery import (
     build_cocycle_case1,
@@ -65,6 +65,12 @@ def _random_gauge(rng, field, labels):
     return Gauge(field, labels, vals)
 
 
+def _gauge_table(g):
+    # the ratio table g(x) / g(y): the all-ones kernel conjugated by g
+    n = len(g.labels)
+    return Kernel(g.field, g.labels, [[g.field.one] * n] * n).conjugate(g)
+
+
 def _gauges_match(field, got, truth, base):
     # extraction pins g(base) = 1, so the truth reappears divided by its
     # own base value
@@ -83,7 +89,7 @@ def test_cocycle_case1_reproduces_gauge_table():
             k = _nondegenerate_kernel(rng, field, 5, zeros)
             g = _random_gauge(rng, field, k.labels)
             c = build_cocycle_case1(k, k.conjugate(g))
-            assert c.rows == Cocycle.from_gauge(g).rows
+            assert c.rows == _gauge_table(g).rows
 
 
 def test_cocycle_case1_handles_doubly_zero_pairs():
@@ -91,7 +97,7 @@ def test_cocycle_case1_handles_doubly_zero_pairs():
     k = _nondegenerate_kernel(rng, F101, 5, ((0, 1),), symmetric_zeros=True)
     g = _random_gauge(rng, F101, k.labels)
     c = build_cocycle_case1(k, k.conjugate(g))
-    assert c.rows == Cocycle.from_gauge(g).rows
+    assert c.rows == _gauge_table(g).rows
 
 
 def test_cocycle_case2_reproduces_gauge_table():
@@ -101,7 +107,7 @@ def test_cocycle_case2_reproduces_gauge_table():
             k = _nondegenerate_kernel(rng, field, 5, zeros, sym)
             g = _random_gauge(rng, field, k.labels)
             c = build_cocycle_case1(k.transpose(), k.transpose().conjugate(g))
-            assert c.rows == Cocycle.from_gauge(g).rows
+            assert c.rows == _gauge_table(g).rows
 
 
 def test_cocycle_branch3_value_ignores_pivot_choice():
@@ -144,11 +150,11 @@ def test_gauge_tables_satisfy_the_laws():
         for _ in range(20):
             n = rng.randint(1, 6)
             g = _random_gauge(rng, field, _labels(n))
-            assert verify_cocycle(Cocycle.from_gauge(g)).ok
+            assert verify_cocycle(_gauge_table(g)).ok
 
 
 def test_verify_reports_unit_diagonal_violation():
-    c = Cocycle(Q, _labels(3), [[1, 2, 3], [Fraction(1, 2), 2, 5],
+    c = Kernel(Q, _labels(3), [[1, 2, 3], [Fraction(1, 2), 2, 5],
                                 [Fraction(1, 3), Fraction(1, 5), 1]])
     chk = verify_cocycle(c)
     assert not chk.ok
@@ -159,9 +165,9 @@ def test_verify_reports_unit_diagonal_violation():
 
 def test_verify_reports_reciprocal_pair_violation():
     g = Gauge(Q, _labels(3), [2, 3, 5])
-    rows = [list(r) for r in Cocycle.from_gauge(g).rows]
+    rows = [list(r) for r in _gauge_table(g).rows]
     rows[0][1] = Fraction(7)
-    chk = verify_cocycle(Cocycle(Q, _labels(3), rows))
+    chk = verify_cocycle(Kernel(Q, _labels(3), rows))
     assert not chk.ok
     assert chk.violation.law == "reciprocal_pair"
     assert chk.violation.points == (0, 1)
@@ -170,10 +176,10 @@ def test_verify_reports_reciprocal_pair_violation():
 def test_verify_reports_triangle_violation():
     # scale a reciprocal pair consistently so only the triangle law breaks
     g = Gauge(Q, _labels(3), [2, 3, 5])
-    rows = [list(r) for r in Cocycle.from_gauge(g).rows]
+    rows = [list(r) for r in _gauge_table(g).rows]
     rows[0][1] = Q.mul(rows[0][1], Fraction(4))
     rows[1][0] = Q.div(rows[1][0], Fraction(4))
-    chk = verify_cocycle(Cocycle(Q, _labels(3), rows))
+    chk = verify_cocycle(Kernel(Q, _labels(3), rows))
     assert not chk.ok
     assert chk.violation.law == "triangle"
     assert chk.violation.points == (0, 1, 2)
@@ -183,7 +189,7 @@ def test_verify_reports_triangle_violation():
 def test_extract_gauge_reads_base_column():
     rng = random.Random(447)
     g = _random_gauge(rng, F101, _labels(5))
-    c = Cocycle.from_gauge(g)
+    c = _gauge_table(g)
     for base in range(5):
         got = extract_gauge(c, base)
         assert _gauges_match(F101, got, g, base)
