@@ -3,6 +3,13 @@
 Exit codes: 0 positive verdict, 1 negative verdict (with witness in the
 report), 2 bad input or unsatisfiable precondition, 3 internal fault: any
 exception that is neither a verdict nor bad input.
+
+Each call builds its argument parser afresh and gives options only to the
+command it runs, the first word of the arguments that is not an option.
+Every other command is still registered with its name and help, which the
+top-level help, the usage line and the invalid-choice error print. The
+parser is not cached, since the bench's ``peak_rss_mb`` grows with the
+calls a run makes and a cache pushed it past its bound (ROADMAP item 6).
 """
 
 import argparse
@@ -257,7 +264,20 @@ def _cmd_search(args):
     return OK
 
 
-def _build_parser():
+def _build_parser(command):
+    """The argument parser for one call, with options for ``command`` only.
+
+    Every command is registered with its name, help text and handler, since
+    the top-level help, the usage line and the invalid-choice error print
+    all of them. Only the subparser of ``command`` gets ``--k``, ``--q``,
+    ``--out`` and its own options: argparse hands every word after the
+    command to that subparser alone, so the others never parse a word.
+
+    The parser is built on every call, not cached. The bench's
+    ``peak_rss_mb`` grows with the calls a run makes, and a cache made
+    calls fast enough to push it past its bound; ROADMAP item 6 revises
+    that metric before the parser is cached.
+    """
     parser = argparse.ArgumentParser(
         prog="detequiv",
         description="Exact principal-minor comparison of finite kernels and "
@@ -266,18 +286,21 @@ def _build_parser():
 
     def add(name, handler, help_text, *, pair=False, single=False):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
+        if name != command:
+            return None
         if pair or single:
             p.add_argument("--k", required=True, help="first kernel JSON file")
         if pair:
             p.add_argument("--q", required=True, help="second kernel JSON file")
         p.add_argument("--out", help="write the JSON report here")
-        p.set_defaults(handler=handler)
         return p
 
     p = add("check-equiv", _cmd_check_equiv,
             "compare principal minors order by order", pair=True)
-    p.add_argument("--max-order", type=int, default=None,
-                   help="cap the comparison order (default: full)")
+    if p:
+        p.add_argument("--max-order", type=int, default=None,
+                       help="cap the comparison order (default: full)")
 
     add("check-classd", _cmd_check_classd,
         "scan all off-diagonal cross minors of one kernel", single=True)
@@ -289,18 +312,20 @@ def _build_parser():
         "recover and verify the diagonal transform", pair=True)
 
     p = add("gen", _cmd_gen, "generate a seeded instance with known truth")
-    p.add_argument("--field", required=True, help="'rational' or 'prime:P'")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--transpose", action="store_true",
-                   help="hide a flip in the generated pair")
-    p.add_argument("--zeros", type=int, default=0,
-                   help="number of zero edges to place")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-attempts", type=int, default=100000)
+    if p:
+        p.add_argument("--field", required=True, help="'rational' or 'prime:P'")
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--transpose", action="store_true",
+                       help="hide a flip in the generated pair")
+        p.add_argument("--zeros", type=int, default=0,
+                       help="number of zero edges to place")
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--max-attempts", type=int, default=100000)
 
     p = add("perturb", _cmd_perturb,
             "change one entry of q so a small minor moves", pair=True)
-    p.add_argument("--seed", type=int, default=0)
+    if p:
+        p.add_argument("--seed", type=int, default=0)
 
     add("oracle", _cmd_oracle,
         "brute-force search for the transform, independent of recovery",
@@ -308,17 +333,22 @@ def _build_parser():
 
     p = add("search", _cmd_search,
             "sample kernel pairs hunting for unrecoverable equivalent pairs")
-    p.add_argument("--field", required=True, help="'prime:P' with small P")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--budget", type=int, required=True,
-                   help="number of sampled pairs")
-    p.add_argument("--seed", type=int, default=0)
+    if p:
+        p.add_argument("--field", required=True, help="'prime:P' with small P")
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--budget", type=int, required=True,
+                       help="number of sampled pairs")
+        p.add_argument("--seed", type=int, default=0)
 
     return parser
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    words = list(sys.argv[1:] if argv is None else argv)
+    # argparse reads the command from the first word that is not an option;
+    # a word like "-1" that it reads as one names no command and fails first
+    command = next((w for w in words if not w.startswith("-")), None)
+    args = _build_parser(command).parse_args(words)
     try:
         return args.handler(args)
     except (FieldMismatch, LabelMismatch, GenerationBudgetExceeded,

@@ -1,5 +1,6 @@
 """End-to-end command-line flows: exit codes, JSON reports, byte stability."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -8,7 +9,18 @@ import pytest
 
 from fractions import Fraction
 
-from detequiv.cli import main
+from detequiv import cli
+from detequiv.cli import (
+    _cmd_check_classd,
+    _cmd_check_equiv,
+    _cmd_classify,
+    _cmd_gen,
+    _cmd_oracle,
+    _cmd_perturb,
+    _cmd_recover,
+    _cmd_search,
+    main,
+)
 from detequiv.errors import BranchUnavailable, VerificationFailed
 from detequiv.kernels import Gauge, Kernel
 from detequiv.fields import PrimeField, Rationals
@@ -419,3 +431,133 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "equivalent" in proc.stdout
+
+
+# --------------------------------------------------------- argument parsing
+
+
+def _reference_parser():
+    # the former _build_parser, verbatim: every option on every subparser
+    parser = argparse.ArgumentParser(
+        prog="detequiv",
+        description="Exact principal-minor comparison of finite kernels and "
+                    "constructive recovery of the diagonal transform between them.")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add(name, handler, help_text, *, pair=False, single=False):
+        p = sub.add_parser(name, help=help_text)
+        if pair or single:
+            p.add_argument("--k", required=True, help="first kernel JSON file")
+        if pair:
+            p.add_argument("--q", required=True, help="second kernel JSON file")
+        p.add_argument("--out", help="write the JSON report here")
+        p.set_defaults(handler=handler)
+        return p
+
+    p = add("check-equiv", _cmd_check_equiv,
+            "compare principal minors order by order", pair=True)
+    p.add_argument("--max-order", type=int, default=None,
+                   help="cap the comparison order (default: full)")
+
+    add("check-classd", _cmd_check_classd,
+        "scan all off-diagonal cross minors of one kernel", single=True)
+
+    add("classify", _cmd_classify,
+        "label every 3-cycle by how the two kernels' products match", pair=True)
+
+    add("recover", _cmd_recover,
+        "recover and verify the diagonal transform", pair=True)
+
+    p = add("gen", _cmd_gen, "generate a seeded instance with known truth")
+    p.add_argument("--field", required=True, help="'rational' or 'prime:P'")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--transpose", action="store_true",
+                   help="hide a flip in the generated pair")
+    p.add_argument("--zeros", type=int, default=0,
+                   help="number of zero edges to place")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--max-attempts", type=int, default=100000)
+
+    p = add("perturb", _cmd_perturb,
+            "change one entry of q so a small minor moves", pair=True)
+    p.add_argument("--seed", type=int, default=0)
+
+    add("oracle", _cmd_oracle,
+        "brute-force search for the transform, independent of recovery",
+        pair=True)
+
+    p = add("search", _cmd_search,
+            "sample kernel pairs hunting for unrecoverable equivalent pairs")
+    p.add_argument("--field", required=True, help="'prime:P' with small P")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--budget", type=int, required=True,
+                   help="number of sampled pairs")
+    p.add_argument("--seed", type=int, default=0)
+
+    return parser
+
+
+_COMMANDS = ("check-equiv", "check-classd", "classify", "recover", "gen",
+             "perturb", "oracle", "search")
+
+_HELP_AND_ERROR_ARGVS = [
+    ["-h"], ["--help"], [], ["nosuch"], ["-h", "recover"], ["--", "recover"],
+    ["-x", "recover"], ["recover", "--k", "k.json", "--q", "q.json",
+                        "--bogus", "1"],
+] + [argv for name in _COMMANDS
+     for argv in ([name], [name, "-h"], [name, "--out"],
+                  [name, "--k", "x", "-h"])]
+
+_PARSED_ARGVS = [
+    ["check-equiv", "--k", "k.json", "--q", "q.json", "--max-order", "3",
+     "--out", "r.json"],
+    ["check-classd", "--k", "k.json"],
+    ["classify", "--q", "q.json", "--k", "k.json"],
+    ["recover", "--k=k.json", "--q", "q.json", "--ou", "r.json"],
+    ["gen", "--field", "prime:7", "--n", "4", "--transpose", "--zeros", "1",
+     "--seed", "2", "--max-attempts", "9"],
+    ["perturb", "--k", "k.json", "--q", "q.json", "--seed", "3"],
+    ["oracle", "--k", "k.json", "--q", "q.json"],
+    ["search", "--field", "prime:2", "--n", "4", "--budget", "10"],
+]
+
+
+def _outcome(call, argv, capsys):
+    try:
+        code = call(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("argv", _HELP_AND_ERROR_ARGVS + _PARSED_ARGVS)
+def test_parser_matches_the_full_reference(argv, monkeypatch, capsys):
+    # main gives options to the invoked command alone; argparse must print
+    # the same help, usage and errors, and parse the same namespace
+    monkeypatch.setenv("COLUMNS", "80")
+    handled = []
+    for command in _COMMANDS:
+        name = "_cmd_" + command.replace("-", "_")
+        monkeypatch.setattr(cli, name, lambda args, name=name:
+                            handled.append((name, vars(args))) or 0)
+    parsed = []
+
+    def reference(argv):
+        parsed.append(vars(_reference_parser().parse_args(argv)))
+        return 0
+
+    assert _outcome(main, argv, capsys) == _outcome(reference, argv, capsys)
+    assert len(handled) == len(parsed) == (argv in _PARSED_ARGVS)
+    for (name, got), want in zip(handled, parsed):
+        assert want.pop("handler").__name__ == name
+        got.pop("handler")
+        assert got == want
+
+
+def test_main_reads_sys_argv(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["detequiv", "check-equiv", "-h"])
+    with pytest.raises(SystemExit) as info:
+        main()
+    assert info.value.code == 0
+    assert "--max-order" in capsys.readouterr().out

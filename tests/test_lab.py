@@ -548,8 +548,12 @@ def test_oracle_matches_reference_enumeration():
 @pytest.mark.parametrize("p, n", [(101, 4), (31, 5), (11, 7)])
 def test_oracle_reaches_the_guard_edge(p, n):
     # n (p-1)^(n-1), the unpruned count, is 4.0e6, 4.05e6 and 7e6; dense
-    # pairs prune almost every prefix, and none of these charges more than
-    # 900 of the guard's 10^6 closing entries
+    # pairs prune almost every prefix and charge at most 900 of the guard's
+    # 10^6 closing entries, so they answer. The sparse pair binds nothing
+    # before its last point and runs into the guard at each size.
+    k, q = _sparse_pair(p, n)
+    with pytest.raises(ValueError, match="the guard"):
+        brute_force_diagonal_similar(k, q)
     f = PrimeField(p)
     labels = [str(i + 1) for i in range(n)]
     rng = random.Random(p * 100 + n)
