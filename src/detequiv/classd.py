@@ -68,7 +68,7 @@ def _vanishing_quad(field, rows, first=False):
     p = field.p if field.kind == "prime" else None
     if not p and type(rows[0][0]) is not int:
         (rows,), _ = integer_rows(field, rows)
-    differ = p.__rmod__ if p else bool
+    differ = field.nonzero
     cache = {0: 0}   # inverses over GF(p), by value
     best = None
     for x, row_x in enumerate(rows):

@@ -18,8 +18,8 @@ S+j is B_S[j][j].  The child S+s gets its own from Sylvester's identity,
 
     B_{S+s}[i][j] = (B_S[s][s] B_S[i][j] - B_S[i][s] B_S[s][j]) / det(S),
 
-a division that is exact on integers, as in Bareiss elimination, and one
-modular inverse per node over GF(p).  The identity needs det(S) != 0.
+a division that is exact on integers, as in Bareiss elimination.  The
+identity needs det(S) != 0.
 Below a zero pivot the walk goes back to T, the deepest node above with a
 nonzero minor, and uses the identity in its general form: with U the
 points added since T, det(B_T[U+i, U+j]) = det(T)^|U| B_{S+s}[i][j], one
@@ -37,13 +37,16 @@ has been compared: the last hit is the witness.  The walk keeps one path
 of bordered minors, O(n^3) values, and the witness alone.
 
 The scan runs on integer rows (``fields.integer_rows``): over GF(p) the
-values as they are, with each closed-form comparison reduced once mod p
-and the walk's values kept reduced; over Q each
-row i of both kernels scaled by one shared D_i.  Every term takes one entry
-from each row, so each term, and each minor, on a subset S is scaled by the
-same product of D_i over S on both sides, and a difference survives the
-scaling exactly when it was there before.  The witness minors are computed
-in field values.
+values as they are, and over Q each row i of both kernels scaled by one
+shared D_i.  Every term takes one entry from each row, so each term, and
+each minor, on a subset S is scaled by the same product of D_i over S on
+both sides, and a difference survives the scaling exactly when it was
+there before.  Each comparison tests the integer difference once with
+``field.nonzero``, by its residue mod p over GF(p).  The walk is exact on
+integers for both fields: its minors are the integer minors of these rows,
+never reduced, so over GF(p) a zero pivot is an integer minor of 0, not a
+multiple of p, and the walk compares minors by their residues.  The
+witness minors are computed in field values.
 
 Once orders 1-2 agree, at every cap, the pair is offered a certificate: the
 gauge that carries k, or kᵀ, onto q entry by entry.  Gauge conjugation and
@@ -216,15 +219,12 @@ def _certify(k, q, rows):
 
 def _rechecks(field, h, t_rows, qr):
     """Whether qr(i,j) h(j) = h(i) t(i,j) at every entry; False at the
-    first that fails.  Over GF(p) each difference is reduced mod p, with
-    no inverse; over Q, h is first scaled to integers by the lcm of its
-    denominators."""
-    if field.kind == "prime":
-        differ = field.p.__rmod__
-    else:
-        lcm = math.lcm(*(v.denominator for v in h))
-        h = [v.numerator * (lcm // v.denominator) for v in h]
-        differ = bool
+    first that fails.  h is first scaled to integers by the lcm of its
+    denominators (an int's is 1), and each difference is tested by
+    ``field.nonzero``: over GF(p) reduced mod p, with no inverse."""
+    lcm = math.lcm(*(v.denominator for v in h))
+    h = [v.numerator * (lcm // v.denominator) for v in h]
+    differ = field.nonzero
     for q_row, t_row, hi in zip(qr, t_rows, h):
         for qx, tx, hj in zip(q_row, t_row, h):
             if differ(qx * hj - hi * tx):
@@ -282,7 +282,7 @@ def _integer_pair(k, q):
 def _drift(field, kr, qr, orders):
     """Yield each subset of the given orders (1-4) of the integer rows, in
     scan order, whose closed-form term differs."""
-    differ = field.p.__rmod__ if field.kind == "prime" else bool
+    differ = field.nonzero
     for order in orders:
         term = _CYCLE_TERMS[order]
         for s in itertools.combinations(range(len(kr)), order):
@@ -294,52 +294,14 @@ def _walk(field, kr, qr, cap):
     """The smallest, lex-least subset of order 5..cap whose minor differs.
 
     kr and qr are integer rows whose minors up to order 4 agree.  Returns
-    None when every minor up to the cap agrees.
+    None when every minor up to the cap agrees.  The minors are integers
+    over both kinds of field, and ``field.nonzero`` compares them.
     """
     n = len(kr)
     path = []           # the subset S at the current node, increasing
     best = None
     limit = cap         # the highest order still worth comparing
-    # update(b, u, d, full): from the bordered minors b and the minor d of a
-    # node, those of its child that adds the point at index u of b, by
-    # Sylvester's identity.  eliminator(d, e): a determinant of bordered
-    # minors divided by d^e, the minor of their node to the e.
-    if field.kind == "prime":
-        p = field.p
-
-        def update(b, u, d, full):
-            inv = pow(d, -1, p)
-            top = b[u]
-            pivot = top[u] * inv % p
-            if not full:
-                return [(pivot * row[j] - row[u] * inv * top[j]) % p
-                        for j, row in enumerate(b[u + 1:], u + 1)]
-            tail = top[u + 1:]
-            out = []
-            for row in b[u + 1:]:
-                head = row[u] * inv % p
-                out.append([(pivot * x - head * y) % p
-                            for x, y in zip(row[u + 1:], tail)])
-            return out
-
-        def eliminator(d, e):
-            scale = pow(d, -e, p)
-            return lambda m: _det_int_bareiss(m) * scale % p
-    else:
-        def update(b, u, d, full):
-            top = b[u]
-            pivot = top[u]
-            if not full:
-                return [(pivot * row[j] - row[u] * top[j]) // d
-                        for j, row in enumerate(b[u + 1:], u + 1)]
-            tail = top[u + 1:]
-            return [[(pivot * x - row[u] * y) // d
-                     for x, y in zip(row[u + 1:], tail)]
-                    for row in b[u + 1:]]
-
-        def eliminator(d, e):
-            scale = d ** e
-            return lambda m: _det_int_bareiss(m) // scale
+    differ = field.nonzero
 
     def step(anchor, d):
         # path has just gained its last element, and d is its minor.  The
@@ -351,10 +313,10 @@ def _walk(field, kr, qr, cap):
         size, ad, b, base = anchor
         full = d != 0 and path[-1] < n - 2 and len(path) + 2 <= limit
         if size == len(path) - 1:
-            out = update(b, path[-1] - base, ad, full)
+            out = _sylvester(b, path[-1] - base, ad, full)
         else:
             out = _border_dets(b, base, path[size:], full,
-                               eliminator(ad, len(path) - size))
+                               ad ** (len(path) - size))
         if not full:
             return out, anchor
         return ([row[j] for j, row in enumerate(out)],
@@ -366,7 +328,7 @@ def _walk(field, kr, qr, cap):
         size = len(path)
         if size >= 4:
             for u in range(n - first):
-                if ck[u] != cq[u]:
+                if differ(ck[u] - cq[u]):
                     best = (*path, first + u)
                     limit = size
                     return
@@ -382,19 +344,34 @@ def _walk(field, kr, qr, cap):
     return best
 
 
-def _border_dets(b, base, extra, full, det):
-    """det(b[extra + i, extra + j]) for i, j > max extra, where b is
-    indexed from base; only i = j unless full.
+def _sylvester(b, u, d, full):
+    """From the bordered minors b of a node and its nonzero minor d, those
+    of its child that adds the point at index u of b, by Sylvester's
+    identity; only the diagonal unless full."""
+    top = b[u]
+    pivot = top[u]
+    if not full:
+        return [(pivot * row[j] - row[u] * top[j]) // d
+                for j, row in enumerate(b[u + 1:], u + 1)]
+    tail = top[u + 1:]
+    return [[(pivot * x - row[u] * y) // d for x, y in zip(row[u + 1:], tail)]
+            for row in b[u + 1:]]
 
-    When b holds the bordered minors of T, Sylvester's identity makes each
-    of these det(T)^|extra| times a bordered minor of T + extra.
+
+def _border_dets(b, base, extra, full, scale):
+    """det(b[extra + i, extra + j]) // scale for i, j > max extra, where b
+    is indexed from base; only i = j unless full.
+
+    When b holds the bordered minors of T and scale is det(T)^|extra|,
+    Sylvester's identity makes each of these a bordered minor of T + extra,
+    and the division exact.
     """
     u = [x - base for x in extra]
     top = [[b[x][y] for y in u] for x in u]
 
     def minor(i, j):
-        return det([*([*r, b[x][j]] for r, x in zip(top, u)),
-                    [*(b[i][y] for y in u), b[i][j]]])
+        return _det_int_bareiss([*([*r, b[x][j]] for r, x in zip(top, u)),
+                                 [*(b[i][y] for y in u), b[i][j]]]) // scale
 
     rest = range(u[-1] + 1, len(b))
     if not full:

@@ -47,6 +47,7 @@ class Rationals:
     kind = "rational"
     zero = Fraction(0)
     one = Fraction(1)
+    nonzero = bool   # see PrimeField.nonzero
 
     def coerce(self, value):
         """Admit Fractions and ints; anything else is a type error."""
@@ -120,6 +121,10 @@ class PrimeField:
         self.p = p
         self.zero = 0
         self.one = 1
+        # nonzero(x) is truthy exactly when the integer x is a nonzero field
+        # value: x mod p here, x itself over Q.  Both are builtins, so a
+        # test in a scan's inner loop runs no Python frame.
+        self.nonzero = p.__rmod__
 
     def coerce(self, value):
         if isinstance(value, int) and not isinstance(value, bool):

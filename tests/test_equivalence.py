@@ -19,7 +19,12 @@ from detequiv.equivalence import (
     quick_consequences,
 )
 from detequiv.errors import LabelMismatch
-from detequiv.fields import PrimeField, Rationals, integer_rows
+from detequiv.fields import (
+    PrimeField,
+    Rationals,
+    _det_int_bareiss,
+    integer_rows,
+)
 from detequiv.kernels import Cycle, Gauge, Kernel, cycle_product
 from detequiv.lab import _place_zeros
 from reference_audits import TraceViolation, trace_identity_audit
@@ -511,6 +516,160 @@ def test_full_scan_at_sixteen_points():
     assert rep.witness_minor_k == k.principal_minor(rep.witness_subset)
     assert rep.witness_minor_q == q.principal_minor(rep.witness_subset)
     assert rep.witness_minor_k != rep.witness_minor_q
+
+
+def _reference_walk(field, kr, qr, cap):
+    """The walk as it was with a second, modular update over GF(p), kept
+    verbatim as the reference for the integer walk over both fields."""
+    n = len(kr)
+    path = []           # the subset S at the current node, increasing
+    best = None
+    limit = cap         # the highest order still worth comparing
+    # update(b, u, d, full): from the bordered minors b and the minor d of a
+    # node, those of its child that adds the point at index u of b, by
+    # Sylvester's identity.  eliminator(d, e): a determinant of bordered
+    # minors divided by d^e, the minor of their node to the e.
+    if field.kind == "prime":
+        p = field.p
+
+        def update(b, u, d, full):
+            inv = pow(d, -1, p)
+            top = b[u]
+            pivot = top[u] * inv % p
+            if not full:
+                return [(pivot * row[j] - row[u] * inv * top[j]) % p
+                        for j, row in enumerate(b[u + 1:], u + 1)]
+            tail = top[u + 1:]
+            out = []
+            for row in b[u + 1:]:
+                head = row[u] * inv % p
+                out.append([(pivot * x - head * y) % p
+                            for x, y in zip(row[u + 1:], tail)])
+            return out
+
+        def eliminator(d, e):
+            scale = pow(d, -e, p)
+            return lambda m: _det_int_bareiss(m) * scale % p
+    else:
+        def update(b, u, d, full):
+            top = b[u]
+            pivot = top[u]
+            if not full:
+                return [(pivot * row[j] - row[u] * top[j]) // d
+                        for j, row in enumerate(b[u + 1:], u + 1)]
+            tail = top[u + 1:]
+            return [[(pivot * x - row[u] * y) // d
+                     for x, y in zip(row[u + 1:], tail)]
+                    for row in b[u + 1:]]
+
+        def eliminator(d, e):
+            scale = d ** e
+            return lambda m: _det_int_bareiss(m) // scale
+
+    def step(anchor, d):
+        # path has just gained its last element, and d is its minor.  The
+        # anchor is the deepest node T before it on the path with a nonzero
+        # minor, and b its bordered minors over base..n-1.  Returns the
+        # minors of path + j for j > max path, and the anchor below path.
+        # Only the diagonal is computed where no child of path is visited,
+        # and where d = 0, which anchors nothing.
+        size, ad, b, base = anchor
+        full = d != 0 and path[-1] < n - 2 and len(path) + 2 <= limit
+        if size == len(path) - 1:
+            out = update(b, path[-1] - base, ad, full)
+        else:
+            out = _reference_border_dets(b, base, path[size:], full,
+                                         eliminator(ad, len(path) - size))
+        if not full:
+            return out, anchor
+        return ([row[j] for j, row in enumerate(out)],
+                (len(path), d, out, path[-1] + 1))
+
+    def visit(first, ck, ak, cq, aq):
+        # S = path; ck, cq are the minors of S + j for j in first..n-1
+        nonlocal best, limit
+        size = len(path)
+        if size >= 4:
+            for u in range(n - first):
+                if ck[u] != cq[u]:
+                    best = (*path, first + u)
+                    limit = size
+                    return
+        for u in range(n - first - 1):
+            if size + 2 > limit:
+                return
+            path.append(first + u)
+            visit(first + u + 1, *step(ak, ck[u]), *step(aq, cq[u]))
+            path.pop()
+
+    visit(0, [r[i] for i, r in enumerate(kr)], (0, 1, kr, 0),
+          [r[i] for i, r in enumerate(qr)], (0, 1, qr, 0))
+    return best
+
+
+def _reference_border_dets(b, base, extra, full, det):
+    """det(b[extra + i, extra + j]) for i, j > max extra, where b is
+    indexed from base; only i = j unless full.
+
+    When b holds the bordered minors of T, Sylvester's identity makes each
+    of these det(T)^|extra| times a bordered minor of T + extra.
+    """
+    u = [x - base for x in extra]
+    top = [[b[x][y] for y in u] for x in u]
+
+    def minor(i, j):
+        return det([*([*r, b[x][j]] for r, x in zip(top, u)),
+                    [*(b[i][y] for y in u), b[i][j]]])
+
+    rest = range(u[-1] + 1, len(b))
+    if not full:
+        return [minor(i, i) for i in rest]
+    return [[minor(i, j) for j in rest] for i in rest]
+
+
+_INTEGER_WALK_FIELDS = (PrimeField(2), PrimeField(3), F7, PrimeField(101),
+                        PrimeField(1000003), PrimeField(2**31 - 1), Q)
+
+
+def test_integer_walk_matches_the_modular_walk(monkeypatch):
+    # the walk on integer minors for both fields, compared by residue over
+    # GF(p), against the former walk that kept its GF(p) values reduced,
+    # at every cap.  Over small fields the cases meet nodes whose integer
+    # minor is a nonzero multiple of p: the integer walk updates through
+    # them by Sylvester's identity, where the modular walk saw a zero
+    # pivot and eliminated below it.  Those fields go to n = 10, the others
+    # to n = 8, which keeps the test near two seconds
+    sylvester = equivalence._sylvester
+    multiples = set()
+
+    def counted(b, u, d, full):
+        if field.kind == "prime" and d % field.p == 0:
+            multiples.add(field.p)
+        return sylvester(b, u, d, full)
+    monkeypatch.setattr(equivalence, "_sylvester", counted)
+    rng = random.Random(425)
+    outcomes = set()
+    for field in _INTEGER_WALK_FIELDS:
+        top = 10 if field.kind == "prime" and field.p <= 7 else 8
+        for n in range(5, top + 1):
+            # zero-heavy kernels at odd n, repeated rows at even n
+            k = (_wide_kernel(rng, field, n, 0.6) if n % 2
+                 else _repeated_row_kernel(rng, field, n))
+            gauge = Gauge(field, k.labels,
+                          [_wide_value(rng, field, unit=True) for _ in range(n)])
+            pairs = ((k, k.conjugate(gauge)),
+                     (k, k.transpose().conjugate(gauge)),
+                     _ring_pair(rng, k, rng.randint(5, n), False))
+            for a, b in pairs:
+                kr, qr = equivalence._integer_pair(a, b)
+                for cap in range(5, n + 1):
+                    want = _reference_walk(field, kr, qr, cap)
+                    got = equivalence._walk(field, kr, qr, cap)
+                    assert got == want, (field, n, cap, a.rows, b.rows)
+                    outcomes.add((field, want is None))
+    assert multiples >= {2, 3, 7}
+    assert outcomes == {(field, found) for field in _INTEGER_WALK_FIELDS
+                        for found in (False, True)}
 
 
 # ------------------------------- the certificate before the walk, against it

@@ -92,6 +92,16 @@ def test_prime_ops_frozen_values():
     assert F7.one == 1 and F7.zero == 0
 
 
+def test_nonzero_tests_unreduced_integers():
+    # the scans' zero test on integer minors and products, never reduced
+    # first: by residue over GF(p), as they are over Q
+    for p in (2, 7, 2**31 - 1):
+        f = PrimeField(p)
+        for x in (0, 1, -1, p, -p, 3 * p + 2, p * p, -(p ** 5) - 1):
+            assert bool(f.nonzero(x)) is (x % p != 0), (p, x)
+    assert not Q.nonzero(0) and Q.nonzero(-4) and Q.nonzero(7**40)
+
+
 def test_prime_ops_randomized_axioms():
     rng = random.Random(11)
     fields = [PrimeField(2), PrimeField(3), F7, PrimeField(101)]

@@ -736,14 +736,16 @@ def test_search_hits_fail_loewy_condition():
     # Loewy's rigidity theorem: two kernels with equal principal minors, one
     # of them satisfying the condition, are gauge conjugates, flipped or not
     # (n >= 4, proved over the reals); every search hit must fail it on
-    # both sides, a sharper tripwire than property D
-    for p, n, budget in ((2, 4, 200000), (2, 5, 200000), (3, 4, 400000)):
-        hits = search_counterexample(PrimeField(p), n, budget, seed=2)
-        assert hits, (p, n)
-        for hit in hits:
-            for side in ("k", "q"):
-                assert not _loewy_condition(Kernel.from_doc(hit[side])), (
-                    p, n, hit)
+    # both sides, a sharper tripwire than property D.  The n = 5 hits go
+    # through the walk of bordered minors
+    for seed in (2, 3, 5):
+        for p, n, budget in ((2, 4, 200000), (2, 5, 200000), (3, 4, 400000)):
+            hits = search_counterexample(PrimeField(p), n, budget, seed=seed)
+            assert hits, (p, n, seed)
+            for hit in hits:
+                for side in ("k", "q"):
+                    assert not _loewy_condition(Kernel.from_doc(hit[side])), (
+                        p, n, seed, hit)
 
 
 def test_search_empty_result_is_normal():
