@@ -58,9 +58,9 @@ def _vanishing_quad(field, rows, first=False):
     Row x is inverted once for all its row pairs.  Over GF(p), entries in
     [0, p), each inverse is computed once per value.  Over Q, rows of
     Fractions are scaled to integers first (module docstring), and rows of
-    ints, as ``lab.gen_instance`` draws them, are scanned as they are; one
-    entry's type tells the two apart.  An integer row's inverses are
-    L // a, L the lcm of its nonzero entries.
+    ints, a kernel's integer rows or the draws of ``lab.gen_instance``,
+    are scanned as they are; one entry's type tells the two apart.  An
+    integer row's inverses are L // a, L the lcm of its nonzero entries.
     """
     n = len(rows)
     if n < 4:
@@ -114,8 +114,9 @@ def _least_pair(row_x, row_w, x, w, differ):
 
 
 def check_class_d(k):
-    """Scan all off-diagonal cross minors, reporting the least vanishing one."""
-    quad = _vanishing_quad(k.field, k.rows)
+    """Scan all off-diagonal cross minors, reporting the least vanishing
+    one; the scan reads the kernel's integer rows."""
+    quad = _vanishing_quad(k.field, k.integer_rows()[0])
     if quad is None:
         return ClassDReport(True)
     return ClassDReport(False, quad, tuple(k.labels[i] for i in quad))

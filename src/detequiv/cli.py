@@ -18,7 +18,7 @@ import sys
 
 from .classd import check_class_d
 from .classify import CaseTable, global_case
-from .equivalence import check_equivalence, quick_consequences
+from .equivalence import PrecheckReport, check_equivalence, quick_consequences
 from .errors import (
     ClassDViolation,
     FieldMismatch,
@@ -87,8 +87,14 @@ def _fmt(field, value):
 
 def _cmd_check_equiv(args):
     k, q = _load_pair(args)
-    pre = quick_consequences(k, q)
     rep = check_equivalence(k, q, max_order=args.max_order)
+    # the prechecks are orders 1-2 alone; a certificate, a witness above
+    # order 2 or a positive at a cap above 1 shows that all of them agree
+    if rep.certificate is None and (rep.checked_order_max == 1 or (
+            not rep.equivalent and len(rep.witness_subset) <= 2)):
+        pre = quick_consequences(k, q)
+    else:
+        pre = PrecheckReport(())
     f = k.field
     witness = None
     if not rep.equivalent:

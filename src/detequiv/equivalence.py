@@ -36,17 +36,21 @@ later hit is at a smaller order and every subset of that order before it
 has been compared: the last hit is the witness.  The walk keeps one path
 of bordered minors, O(n^3) values, and the witness alone.
 
-The scan runs on integer rows (``fields.integer_rows``): over GF(p) the
-values as they are, and over Q each row i of both kernels scaled by one
-shared D_i.  Every term takes one entry from each row, so each term, and
-each minor, on a subset S is scaled by the same product of D_i over S on
-both sides, and a difference survives the scaling exactly when it was
-there before.  Each comparison tests the integer difference once with
-``field.nonzero``, by its residue mod p over GF(p).  The walk is exact on
+The scan runs on integer rows: over GF(p) the values as they are, and
+over Q each kernel's own rows (``Kernel.integer_rows``), row i times D_i,
+brought to one shared D_i = lcm(D_i^k, D_i^q) where the two differ
+(``_shared_rows``).  Every term takes one entry from each row, so each
+term, and each minor, on a subset S is scaled by the same product of D_i
+over S on both sides, and a difference survives the scaling exactly when
+it was there before.  Each comparison tests the integer difference once
+with ``field.nonzero``, by its residue mod p over GF(p).  The walk is exact on
 integers for both fields: its minors are the integer minors of these rows,
 never reduced, so over GF(p) a zero pivot is an integer minor of 0, not a
 multiple of p, and the walk compares minors by their residues.  The
-witness minors are computed in field values.
+witness minors come from each kernel's integer rows too, one integer
+determinant divided by the product of D_i over the subset
+(``Kernel.principal_minor``), so over Q neither a certified positive nor
+a refutation builds a Fraction per entry.
 
 Once orders 1-2 agree, at every cap, the pair is offered a certificate: the
 gauge that carries k, or kᵀ, onto q entry by entry.  Gauge conjugation and
@@ -70,7 +74,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .fields import _det_int_bareiss, integer_rows
+from .fields import _det_int_bareiss
 from .kernels import Gauge, require_same_points
 
 _SCAN_GUARD = 2**20  # subsets; admits the full scan up to n = 20
@@ -155,7 +159,7 @@ def check_equivalence(k, q, max_order=None):
     if type(cap) is not int or not 1 <= cap <= n:
         raise ValueError(f"max_order must be an integer in [1, {n}], "
                          f"got {max_order!r}")
-    rows = integer_rows(k.field, k.rows, q.rows)
+    rows = _shared_rows(k, q)
     (kr, qr), _ = rows
     orders = range(1, min(cap, 4) + 1)
     witness = next(_drift(k.field, kr, qr, orders[:2]), None)
@@ -183,7 +187,7 @@ def certify(k, q):
     is k, or kᵀ when transposed; the direct framework is tried first, and
     the gauge is 1 at base_label, the smallest label.  Both frameworks are
     one problem on kr = D k and qr = D q, the integer rows of the minor
-    scan (``fields.integer_rows``, row i scaled by D_i): q = g k g^(-1)
+    scan (``_shared_rows``, row i scaled by D_i): q = g k g^(-1)
     exactly when qr = g kr g^(-1), and, as krᵀ = kᵀ D, q = g kᵀ g^(-1)
     exactly when qr = h krᵀ h^(-1) with h = D g.  So each framework solves
     qr = h t h^(-1), t = kr or krᵀ (kr's columns), by propagation
@@ -197,12 +201,12 @@ def certify(k, q):
     ``certificate``.
     """
     require_same_points(k, q)
-    return _certify(k, q, integer_rows(k.field, k.rows, q.rows))
+    return _certify(k, q, _shared_rows(k, q))
 
 
 def _certify(k, q, rows):
     """``certify`` on rows = ((kr, qr), scales), the integer rows of k and
-    q and their row scales, as ``fields.integer_rows`` returns them."""
+    q and their row scales, as ``_shared_rows`` returns them."""
     field = k.field
     base = min(range(k.n), key=lambda i: k.labels[i])
     (kr, qr), scales = rows
@@ -274,9 +278,31 @@ def _propagate_gauge(field, t_rows, qr, base, start):
     return h
 
 
+def _shared_rows(k, q):
+    """((kr, qr), scales): both kernels' integer rows on shared scales.
+
+    Row i of each kernel's own integer rows (``Kernel.integer_rows``) is
+    rescaled to D_i = lcm(D_i^k, D_i^q) where its own scale differs, so
+    every minor and every cross minor on rows S of either is its field
+    value times the same product of D_i over S, as ``fields.integer_rows``
+    gives them.  No field value is read.
+    """
+    (kr, ks), (qr, qs) = k.integer_rows(), q.integer_rows()
+    if ks == qs:
+        return (kr, qr), ks
+    scales = list(map(math.lcm, ks, qs))
+    return (_rescale(kr, ks, scales), _rescale(qr, qs, scales)), scales
+
+
+def _rescale(rows, own, scales):
+    """Integer rows at scales own, taken to the multiples scales."""
+    return [row if a == d else [x * (d // a) for x in row]
+            for row, a, d in zip(rows, own, scales)]
+
+
 def _integer_pair(k, q):
-    """Both kernels as integer rows (fields.integer_rows)."""
-    return integer_rows(k.field, k.rows, q.rows)[0]
+    """Both kernels as integer rows on shared scales (``_shared_rows``)."""
+    return _shared_rows(k, q)[0]
 
 
 def _drift(field, kr, qr, orders):
@@ -411,5 +437,8 @@ _CYCLE_TERMS = (None, _diagonal, _pair_product, _three_cycle_sum,
 
 
 def _field_term(kern, s):
-    """The closed-form term of kern on s, in field values."""
-    return kern.field.coerce(_CYCLE_TERMS[len(s)](kern.rows, s))
+    """The closed-form term of kern on s, in field values: the term of
+    its integer rows, divided by their scales over s."""
+    rows, scales = kern.integer_rows()
+    return kern.field.div(_CYCLE_TERMS[len(s)](rows, s),
+                          math.prod(scales[i] for i in s))

@@ -4,16 +4,24 @@ Field objects bundle the operations; the values themselves stay plain Python
 objects in a canonical form (Fraction in lowest terms, int in [0, p)), so
 equality of values is plain ``==``.  Determinants are computed one way
 for both: on integer rows, eliminated fraction-free (``determinant``).
+
+A kernel document is read a row at a time (``parse_row``) to integers and
+a scale D: over Q each literal's value times D, the lcm of the row's
+denominators, with no Fraction built; over GF(p) the values, with D = 1.
 """
 
 import math
-import re
 from fractions import Fraction
 
 MAX_PRIME = 2**31
 
-_RATIONAL_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?\Z")
-_INTEGER_RE = re.compile(r"[+-]?\d+\Z")
+
+def _is_integer(text):
+    """Whether text is decimal digits after at most one sign, as
+    ``[+-]?\\d+\\Z`` matches: ``\\d`` and ``str.isdecimal`` admit the same
+    code points, and ``int`` reads every one of them."""
+    return text.isdecimal() or (text[:1] in ("+", "-")
+                                and text[1:].isdecimal())
 
 
 def is_prime(p):
@@ -79,16 +87,32 @@ class Rationals:
         return a == 0
 
     def parse(self, text):
-        """Accept "a" or "a/b" with decimal digits and an optional sign."""
-        match = _RATIONAL_RE.match(text) if isinstance(text, str) else None
-        if match is None:
+        """Accept "a" or "a/b" with decimal digits and a sign on a alone."""
+        (num,), den = self.parse_row((text,))
+        return Fraction(num, den)
+
+    def parse_row(self, cells):
+        """A row of literals as (integers, D): D is the lcm of the literals'
+        denominators, and each integer is its value times D.  No Fraction
+        is built, and no literal is reduced to lowest terms."""
+        nums, dens = [], []
+        for text in cells:
+            if isinstance(text, str):
+                num, slash, den = text.partition("/")
+                if _is_integer(num) and (not slash or den.isdecimal()):
+                    den = int(den) if slash else 1
+                    if den == 0:
+                        raise ValueError(f"zero denominator: {text!r}")
+                    nums.append(int(num))
+                    dens.append(den)
+                    continue
             raise ValueError(f"bad rational literal: {text!r}")
-        num, den = match.groups()
-        if den is None:
-            return Fraction(int(num))
-        if int(den) == 0:
-            raise ValueError(f"zero denominator: {text!r}")
-        return Fraction(int(num), int(den))
+        d = math.lcm(*dens)
+        return tuple([a * (d // b) for a, b in zip(nums, dens)]), d
+
+    def values(self, row, scale):
+        """The field values of an integer row with scale D: each entry / D."""
+        return tuple([Fraction(a, scale) for a in row])
 
     def format(self, value):
         return str(value)
@@ -156,9 +180,14 @@ class PrimeField:
 
     def parse(self, text):
         """Decimal integers, optionally signed, reduced mod p."""
-        if not isinstance(text, str) or not _INTEGER_RE.match(text):
+        if not isinstance(text, str) or not _is_integer(text):
             raise ValueError(f"bad GF({self.p}) literal: {text!r}")
         return int(text) % self.p
+
+    def parse_row(self, cells):
+        """A row of literals as (integers, 1): here the integers are the
+        field values themselves."""
+        return tuple(map(self.parse, cells)), 1
 
     def format(self, value):
         return str(value)

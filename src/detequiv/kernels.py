@@ -5,10 +5,16 @@ square matrix of exact field values.  Everything downstream compares products
 of entries along oriented cycles and principal minors of the matrix, so this
 module also owns cycles and diagonal gauges.  A two-point ratio table, such
 as the cocycle of ``recovery.build_cocycle_case1``, is a kernel too.
+
+The scans and the certificate read a kernel's integer rows; over Q a kernel
+read from a document builds its Fraction values only when they are read:
+to print them, or by the case table, the oracle, ``perturb`` and ``lab``.
 """
 
+import math
+
 from .errors import FieldMismatch, LabelMismatch
-from .fields import determinant, field_from_doc
+from .fields import determinant, field_from_doc, integer_rows
 
 
 class Cycle:
@@ -55,17 +61,24 @@ class Cycle:
 
 
 class Kernel:
-    """A labelled square matrix of exact field values."""
+    """A labelled square matrix of exact field values, ``rows``, and the
+    same as integer rows, row i times a scale D_i (``integer_rows``).
 
-    __slots__ = ("field", "labels", "rows", "_index")
+    Over GF(p) the two are one.  Over Q ``from_doc`` stores the integer
+    rows and builds ``rows`` when it is first read; ``Kernel(...)`` stores
+    the values and derives the integer rows when they are first asked for.
+    """
+
+    __slots__ = ("field", "labels", "_rows", "_ints", "_index")
 
     def __init__(self, field, labels, rows):
         rows = list(rows)
         self._shape(field, labels, rows)
-        self.rows = tuple(tuple(field.coerce(v) for v in row) for row in rows)
+        self._rows = tuple(tuple(field.coerce(v) for v in row) for row in rows)
+        self._ints = None
 
     def _shape(self, field, labels, rows):
-        """Check the labels and the shape of rows, and set all but rows."""
+        """Check the labels and the shape of rows, and set field and labels."""
         labels = tuple(labels)
         if not labels:
             raise ValueError("a kernel needs at least one point")
@@ -80,6 +93,22 @@ class Kernel:
         self.field = field
         self.labels = labels
         self._index = {lab: i for i, lab in enumerate(labels)}
+
+    @property
+    def rows(self):
+        """The entries as field values, a tuple of row tuples."""
+        if self._rows is None:
+            self._rows = tuple(map(self.field.values, *self._ints))
+        return self._rows
+
+    def integer_rows(self):
+        """(rows, scales): row i of the values times scales[i] > 0, so each
+        minor and cross minor on rows S is scaled by the product of scales
+        over S (``fields.integer_rows``).  The rows are shared, not copies."""
+        if self._ints is None:
+            (rows,), scales = integer_rows(self.field, self._rows)
+            self._ints = rows, scales
+        return self._ints
 
     @property
     def n(self):
@@ -97,7 +126,8 @@ class Kernel:
     def principal_minor(self, indices):
         """det of the submatrix on the given distinct point indices.
 
-        The empty index set gives the field's one.
+        The empty index set gives the field's one.  The determinant is
+        taken on the integer rows and divided by their scales.
         """
         idx = tuple(indices)
         if len(set(idx)) != len(idx):
@@ -105,8 +135,9 @@ class Kernel:
         for i in idx:
             if not 0 <= i < self.n:
                 raise IndexError(f"index {i} out of range for n={self.n}")
-        sub = [[self.rows[i][j] for j in idx] for i in idx]
-        return determinant(self.field, sub)
+        rows, scales = self.integer_rows()
+        det = determinant(self.field, [[rows[i][j] for j in idx] for i in idx])
+        return self.field.div(det, math.prod(scales[i] for i in idx))
 
     def transpose(self):
         n = self.n
@@ -136,6 +167,9 @@ class Kernel:
 
     @classmethod
     def from_doc(cls, doc):
+        """Read a kernel document, each row straight to integers and a scale
+        (the field's ``parse_row``).  Errors come in one order: a bad cell
+        first, then the labels, then the shape."""
         if not isinstance(doc, dict):
             raise ValueError("kernel document must be a JSON object")
         for key in ("field", "labels", "entries"):
@@ -149,11 +183,12 @@ class Kernel:
         if not isinstance(entries, list) or not all(
                 isinstance(row, list) for row in entries):
             raise ValueError("entries must be a list of rows")
-        # parse yields field values already, so they are not coerced again
-        rows = tuple(tuple(map(field.parse, row)) for row in entries)
+        parsed = list(map(field.parse_row, entries))
+        rows = tuple([row for row, _ in parsed])
         kern = cls.__new__(cls)
         kern._shape(field, labels, rows)
-        kern.rows = rows
+        kern._ints = rows, [d for _, d in parsed]
+        kern._rows = rows if field.kind == "prime" else None
         return kern
 
     def __eq__(self, other):

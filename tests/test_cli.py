@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import random
 import subprocess
 import sys
 
@@ -406,6 +407,112 @@ def test_max_order_flag(tmp_path):
     qp = _write_doc(tmp_path / "q.json", q.to_doc())
     assert main(["check-equiv", "--k", kp, "--q", qp, "--max-order", "2"]) == 0
     assert main(["check-equiv", "--k", kp, "--q", qp]) == 1
+
+
+def _former_check_equiv(args):
+    # the check-equiv handler as it was: the prechecks on every call
+    k, q = cli._load_pair(args)
+    pre = cli.quick_consequences(k, q)
+    rep = cli.check_equivalence(k, q, max_order=args.max_order)
+    f = k.field
+    witness = None
+    if not rep.equivalent:
+        witness = {
+            "subset": cli._labels(k, rep.witness_subset),
+            "minor_k": cli._fmt(f, rep.witness_minor_k),
+            "minor_q": cli._fmt(f, rep.witness_minor_q),
+        }
+    doc = {
+        "verdict": "equivalent" if rep.equivalent else "not_equivalent",
+        "checked_order_max": rep.checked_order_max,
+        "witness": witness,
+        "prechecks": {
+            "ok": pre.ok,
+            "failures": [
+                {"kind": fail.kind, "points": cli._labels(k, fail.points),
+                 "k_value": cli._fmt(f, fail.k_value), "q_value": cli._fmt(f, fail.q_value)}
+                for fail in pre.failures
+            ],
+        },
+    }
+    cli._emit(args, doc)
+    if rep.equivalent:
+        print(f"equivalent up to order {rep.checked_order_max} "
+              f"(n={k.n}, all checked minors agree)")
+        return cli.OK
+    print(f"not equivalent: minors differ on subset {witness['subset']} "
+          f"({witness['minor_k']} vs {witness['minor_q']})")
+    return cli.NEGATIVE
+
+
+def _signed_ring(field, n, r):
+    # points 0..r-1 on a ring of ones, the rest isolated; q negates one
+    # edge pair, which moves the ring's minor alone, at order r
+    k = [[int(i == j or (i < r and j < r and (i - j) % r in (1, r - 1)))
+          for j in range(n)] for i in range(n)]
+    q = [row[:] for row in k]
+    q[0][1] = q[1][0] = field.neg(field.one)
+    return k, q
+
+
+def test_check_equiv_runs_the_prechecks_only_when_they_can_fail(
+        tmp_path, monkeypatch, capsys):
+    # the prechecks now follow check_equivalence and run only when its
+    # report leaves orders 1-2 open; at every cap the reports, the output
+    # and the exit codes are those of the former handler
+    rng = random.Random(26)
+    calls = []
+    quick = cli.quick_consequences
+    monkeypatch.setattr(cli, "quick_consequences",
+                        lambda k, q: (calls.append(1), quick(k, q))[1])
+    seen = set()
+    for field in (Q, PrimeField(101)):
+        n = 6
+        labels = [f"p{i}" for i in range(n)]
+        units = [[rng.randrange(1, 101) for _ in range(n)] for _ in range(n)]
+        g = Gauge(field, labels, [rng.randrange(1, 50) for _ in range(n)])
+        base = Kernel(field, labels, units)
+        pairs = {"direct": (base, base.conjugate(g)),
+                 "flipped": (base, base.transpose().conjugate(g))}
+        for order, (i, j) in ((1, (2, 2)), (2, (1, 4))):
+            rows = [list(row) for row in pairs["flipped"][1].rows]
+            rows[i][j] = field.add(rows[i][j], field.one)
+            if order == 1:
+                rows[3][0] = field.add(rows[3][0], field.one)
+            pairs[order] = base, Kernel(field, labels, rows)
+        for r in (3, 4):
+            k, q = _signed_ring(field, n, r)
+            pairs[r] = (Kernel(field, labels, k),
+                        Kernel(field, labels, q).conjugate(g))
+        for name, (k, q) in pairs.items():
+            kp = _write_doc(tmp_path / "k.json", k.to_doc())
+            qp = _write_doc(tmp_path / "q.json", q.to_doc())
+            for cap in range(1, n + 1):
+                outcomes = []
+                for handler in (_cmd_check_equiv, _former_check_equiv):
+                    monkeypatch.setattr(cli, "_cmd_check_equiv", handler)
+                    out = tmp_path / "report.json"
+                    calls.clear()
+                    code = main(["check-equiv", "--k", kp, "--q", qp,
+                                 "--max-order", str(cap), "--out", str(out)])
+                    outcomes.append((code, capsys.readouterr(),
+                                     out.read_bytes(), len(calls)))
+                assert outcomes[0][:3] == outcomes[1][:3], (field, name, cap)
+                doc = json.loads(outcomes[0][2])
+                witness = doc["witness"]
+                seen.add((name, doc["verdict"], bool(outcomes[0][3]),
+                          len(witness["subset"]) if witness else None))
+    # certified pairs never run the prechecks; refutations do at order <= 2,
+    # and at cap 1 every pair without a certificate does
+    assert seen == {
+        ("direct", "equivalent", False, None),
+        ("flipped", "equivalent", False, None),
+        (1, "not_equivalent", True, 1),
+        (2, "equivalent", True, None), (2, "not_equivalent", True, 2),
+        (3, "equivalent", True, None), (3, "equivalent", False, None),
+        (3, "not_equivalent", False, 3),
+        (4, "equivalent", True, None), (4, "equivalent", False, None),
+        (4, "not_equivalent", False, 4)}
 
 
 # ----------------------------------------------------------- JSON hygiene

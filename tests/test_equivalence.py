@@ -18,15 +18,17 @@ from detequiv.equivalence import (
     check_equivalence,
     quick_consequences,
 )
-from detequiv.errors import LabelMismatch
+from detequiv.errors import LabelMismatch, NotEquivalent
 from detequiv.fields import (
     PrimeField,
     Rationals,
     _det_int_bareiss,
+    determinant,
     integer_rows,
 )
 from detequiv.kernels import Cycle, Gauge, Kernel, cycle_product
 from detequiv.lab import _place_zeros
+from detequiv.recovery import recover
 from reference_audits import TraceViolation, trace_identity_audit
 
 Q = Rationals()
@@ -816,6 +818,80 @@ def test_certified_positive_computes_no_order_four_term(monkeypatch):
     # both kernels on every 3-subset and every 4-subset
     assert (len(terms[3]), len(terms[4])) == (2 * 120, 2 * 210)
     assert transposes == []
+
+
+def _cauchy_doc(n, entry=None):
+    """A scaled Cauchy kernel over Q, nondegenerate, as a document; entry
+    maps (i, j, value) to the value to write."""
+    rows = [[Fraction(i + 2, 2 * i + 3) * Fraction(j + 5, 3 * j + 1)
+             / (i - n - j) for j in range(n)] for i in range(n)]
+    if entry:
+        rows = [[entry(i, j, rows) for j in range(n)] for i in range(n)]
+    return Kernel(Q, [str(i + 1) for i in range(n)], rows).to_doc()
+
+
+def test_rational_verdicts_build_no_fraction_per_entry(monkeypatch):
+    # over Q from_doc keeps integer rows, and every verdict reads them: a
+    # verdict makes Fractions for the gauge values it tries and for its two
+    # witness minors alone, and none builds the kernels' rows
+    n = 10
+    k = _cauchy_doc(n)
+    g = [Fraction(i + 1, 2 * i + 3) for i in range(n)]
+    flipped = _cauchy_doc(n, lambda i, j, r: g[i] * r[j][i] / g[j])
+    direct = _cauchy_doc(n, lambda i, j, r: g[i] * r[i][j] / g[j])
+    order2 = _cauchy_doc(n, lambda i, j, r: r[i][j] * (2 if (i, j) == (1, 3)
+                                                       else 1))
+    # near-symmetric: swapping k(a,b) and k(b,a) moves the 4-cycle sums on
+    # {a,b,c,d} by (k_ab - k_ba)(k_cd - k_dc)(k_bc k_da - k_bd k_ca) alone
+    a, b, c, d = range(n - 4, n)
+    asym = {(a, b): 3, (c, d): 2}
+
+    def near(swap):
+        def entry(i, j, r):
+            i, j = ((j, i) if swap and {i, j} == {a, b} else (i, j))
+            x, y = min(i, j), max(i, j)
+            return Fraction(1, 2 * x + y + 1) * asym.get((i, j), 1)
+        return entry
+
+    refutations = []
+    for docs, witness in (((k, order2), (1, 3)),
+                          ((_cauchy_doc(n, near(False)),
+                            _cauchy_doc(n, near(True))), (a, b, c, d))):
+        minors = [determinant(Q, [[kern.rows[i][j] for j in witness]
+                                  for i in witness])
+                  for kern in map(Kernel.from_doc, docs)]
+        refutations.append((docs, witness, minors))
+    made = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    def no_rows(self, row, scale):
+        raise AssertionError("Fraction rows built")
+
+    monkeypatch.setattr(Rationals, "values", no_rows)
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    for q, transposed in ((flipped, True), (direct, False)):
+        for decide in (recover, check_equivalence):
+            made.clear()
+            out = decide(Kernel.from_doc(k), Kernel.from_doc(q))
+            assert (out if decide is recover else out.certificate)[0] \
+                is transposed
+            # a few per gauge value tried, none per entry (n^2 a kernel)
+            assert len(made) <= 4 * n, len(made)
+    for docs, witness, minors in refutations:
+        made.clear()
+        rep = check_equivalence(*map(Kernel.from_doc, docs))
+        assert rep.witness_subset == witness
+        assert [rep.witness_minor_k, rep.witness_minor_q] == minors
+        assert len(made) <= 4 * n, len(made)
+        made.clear()
+        with pytest.raises(NotEquivalent) as info:
+            recover(*map(Kernel.from_doc, docs))
+        assert [info.value.minor_k, info.value.minor_q] == minors
+        assert len(made) <= 4 * n, len(made)
 
 
 # ---------------- the certificate's re-check, against the conjugated kernel

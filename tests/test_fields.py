@@ -5,6 +5,7 @@ written here, never against itself.
 """
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -176,6 +177,59 @@ def test_prime_parse_and_format():
         F7.parse("1/2")
     with pytest.raises(ValueError):
         F7.parse("seven")
+
+
+_INTEGER_RE = re.compile(r"[+-]?\d+\Z")
+_RATIONAL_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?\Z")
+
+
+def _regex_parse(field, text):
+    """The literal parsers as regular expressions wrote them: the value,
+    or the error text."""
+    if field.kind == "prime":
+        if not isinstance(text, str) or not _INTEGER_RE.match(text):
+            return f"bad GF({field.p}) literal: {text!r}"
+        return int(text) % field.p
+    match = _RATIONAL_RE.match(text) if isinstance(text, str) else None
+    if match is None:
+        return f"bad rational literal: {text!r}"
+    num, den = match.groups()
+    if den is None:
+        return Fraction(int(num))
+    if int(den) == 0:
+        return f"zero denominator: {text!r}"
+    return Fraction(int(num), int(den))
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_cell_validation_matches_the_regex():
+    # \d and str.isdecimal admit the same code points, every one of which
+    # int() reads, so isdecimal after one optional sign accepts what the
+    # regular expression did, with the same values and error texts
+    every = "".join(map(chr, range(0x110000)))
+    digits = re.findall(r"\d", every)
+    assert digits == [c for c in every if c.isdecimal()]
+    assert all(0 <= int(c) <= 9 for c in digits)
+    rng = random.Random(23)
+    points = rng.sample(range(0x110000), 1500) + [ord(rng.choice(digits))
+                                                  for _ in range(500)]
+    texts = ["+", "-", "", "1\n", " 1", "1_0", "٣٤", "１２", "1/", "/1",
+             "1/-2", "1/+2", "+-1", "--1", "1/0", "-0/5", "٣/٠", "+007/010",
+             "1/2/3", "１２/٣٤", "²", "1/²", "½", "Ⅻ", 7, None, 1.5, ["1"]]
+    for point in points:
+        c = chr(point)
+        texts += [c, "+" + c, "-" + c, c + c, "1" + c, c + "/1", "1/" + c,
+                  "-" + c + "/" + c]
+    for field in (Q, F7, PrimeField(1000003)):
+        for text in texts:
+            assert _outcome(field.parse, text) == _regex_parse(field, text), \
+                (field, text)
 
 
 def test_coerce_canonicalizes_and_rejects():

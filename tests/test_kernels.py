@@ -11,8 +11,9 @@ from fractions import Fraction
 
 import pytest
 
+from detequiv import equivalence
 from detequiv.errors import FieldMismatch, LabelMismatch
-from detequiv.fields import PrimeField, Rationals
+from detequiv.fields import PrimeField, Rationals, _det_int_bareiss, integer_rows
 from detequiv.kernels import (
     Cycle,
     Gauge,
@@ -146,6 +147,110 @@ def test_from_doc_converts_each_cell_once(monkeypatch):
     assert errors == ["bad rational literal: 'x'", "duplicate labels",
                       "entries must form an 2 x 2 matrix",
                       "zero denominator: '1/0'"]
+
+
+_DIGITS = ("0123456789", "٠١٢٣٤٥٦٧٨٩", "０１２３４５６７８９", "۰۱۲۳۴۵۶۷۸۹")
+
+
+def _spelled(rng, number):
+    """A literal for an int: leading zeros, a "+" or not, and the digits of
+    some script."""
+    text = "0" * rng.choice((0, 0, 0, 2)) + str(abs(number))
+    text = text.translate(str.maketrans("0123456789", rng.choice(_DIGITS)))
+    if number < 0:
+        return "-" + text
+    return rng.choice(("", "", "+")) + text
+
+
+def _draw(rng):
+    return rng.choice((0, rng.randint(-9, 9), rng.randint(-10**6, 10**6),
+                       rng.randint(-10**40, 10**40)))
+
+
+def _literal(rng, field, value):
+    """A literal of the field value that is seldom its canonical form:
+    over Q a/b times a factor, or a bare integer; over GF(p) value + m p."""
+    if field.kind == "prime":
+        return _spelled(rng, value + field.p * rng.choice(
+            (0, 1, -1, rng.randint(-10**30, 10**30))))
+    if value.denominator == 1 and rng.random() < 0.3:
+        return _spelled(rng, value.numerator)
+    m = rng.choice((1, 1, 2, 3, 12, rng.randint(1, 10**40)))
+    return (_spelled(rng, value.numerator * m) + "/"
+            + _spelled(rng, value.denominator * m).lstrip("+"))
+
+
+def _value(rng, field):
+    if field.kind == "prime":
+        return _draw(rng) % field.p
+    return Fraction(_draw(rng), rng.choice((1, rng.randint(1, 9),
+                                            abs(_draw(rng)) or 1)))
+
+
+def _doc_and_values(rng, field, values):
+    n = len(values)
+    doc = {"field": field.to_doc(), "labels": [str(i) for i in range(n)],
+           "entries": [[_literal(rng, field, v) for v in row]
+                       for row in values]}
+    return doc, Kernel(field, doc["labels"],
+                       [[field.parse(cell) for cell in row]
+                        for row in doc["entries"]])
+
+
+def _minor_differs(field, a, b):
+    return bool(field.nonzero(_det_int_bareiss([list(r) for r in a])
+                              - _det_int_bareiss([list(r) for r in b])))
+
+
+def test_from_doc_matches_the_parsed_values():
+    # unnormalised literals ("6/4", "-0/5", "+007/010"), 40-digit values,
+    # Unicode digits, values >= p and negatives: from_doc must give the
+    # kernel of the parsed values, and integer rows whose minors and cross
+    # minors differ exactly where those of fields.integer_rows do
+    rng = random.Random(26)
+    fixed = {"field": {"kind": "rational"}, "labels": ["a", "b"],
+             "entries": [["6/4", "-0/5"], ["+007/010", "٣/٤"]]}
+    assert Kernel.from_doc(fixed).rows == ((Fraction(3, 2), 0),
+                                           (Fraction(7, 10), Fraction(3, 4)))
+    for field in (Q, PrimeField(2), F7, PrimeField(1000003)):
+        for n in [*range(1, 8)] * 3:
+            values = [[_value(rng, field) for _ in range(n)] for _ in range(n)]
+            g = [_value(rng, field) or field.one for _ in range(n)]
+            other = [[field.div(field.mul(g[i], values[i][j]), g[j])
+                      for j in range(n)] for i in range(n)]
+            for _ in range(rng.randrange(3)):
+                i, j = rng.randrange(n), rng.randrange(n)
+                other[i][j] = rng.choice((field.zero, _value(rng, field)))
+            (kdoc, kref), (qdoc, qref) = (_doc_and_values(rng, field, m)
+                                          for m in (values, other))
+            for doc, ref in ((kdoc, kref), (qdoc, qref)):
+                for probe in ("rows", "==", "hash", "to_doc"):
+                    got = Kernel.from_doc(doc)
+                    assert {"rows": lambda: got.rows == ref.rows,
+                            "==": lambda: got == ref and ref == got,
+                            "hash": lambda: hash(got) == hash(ref),
+                            "to_doc": lambda: got.to_doc() == ref.to_doc(),
+                            }[probe](), (field, probe, doc)
+            k, q = Kernel.from_doc(kdoc), Kernel.from_doc(qdoc)
+            (kr, qr), _ = equivalence._shared_rows(k, q)
+            (ka, qa), _ = integer_rows(field, kref.rows, qref.rows)
+            for r in range(1, min(n, 4) + 1):
+                for s in itertools.combinations(range(n), r):
+                    pick = [[[m[i][j] for j in s] for i in s]
+                            for m in (kr, qr, ka, qa)]
+                    assert (_minor_differs(field, *pick[:2])
+                            == _minor_differs(field, *pick[2:])), (field, s)
+            own, _ = k.integer_rows()
+            for x, w in itertools.combinations(range(n), 2):
+                cols = [c for c in range(n) if c not in (x, w)]
+                for y, z in itertools.combinations(cols, 2):
+                    pick = [[[m[i][j] for j in (y, z)] for i in (x, w)]
+                            for m in (kr, qr, ka, qa, own)]
+                    assert (_minor_differs(field, *pick[:2])
+                            == _minor_differs(field, *pick[2:4]))
+                    assert (_minor_differs(field, pick[4], [[0, 0], [0, 0]])
+                            == _minor_differs(field, pick[2], [[0, 0], [0, 0]]))
+            assert k.rows == kref.rows and q.rows == qref.rows
 
 
 def test_principal_minor_against_direct_determinant():
