@@ -67,6 +67,21 @@ take t = kr or its columns and no row scale, and the re-check stops at
 the first entry that fails; no transposed or conjugated kernel is built.
 Only a pair without a certificate pays for the 3-cycle and 4-cycle sums
 and the walk, and only such a pair meets the guard on the walk's size.
+
+The failed solves still narrow orders 3 and 4.  Invariance holds subset by
+subset: if a gauge h re-checks on every entry inside a subset S, then
+qr[S] = h t[S] h⁻¹, so every minor and every cycle sum on S agrees with
+t's, which are kr's (a transpose keeps each minor and each forward +
+reversed sum).  So once both re-checks have failed, each framework
+that has a gauge records its failing entries (i, j) as the edges of a
+graph (``_failure_graph``), and orders 3 and 4 compare only the subsets
+that hold an edge of every graph, still in lexicographic order
+(``_edged_subsets``).  Every skipped subset agrees, so the verdict and the
+witness are those of the full scan.  A framework whose zero layout differs
+from q's has no gauge and no graph, and narrows nothing.  A graph costs a
+pass over the n^2 entries, so the graphs are built only when the sums
+they narrow cover more than n^2 subsets, and a graph is dropped, narrowing
+nothing, once more than 2n entries fail.
 """
 
 import itertools
@@ -145,13 +160,15 @@ def check_equivalence(k, q, max_order=None):
     only after every smaller subset has agreed.  At every cap, a pair that
     agrees up to order 2 is then offered the certificate (``certify``); one
     that re-checks proves every minor equal and is the report's
-    ``certificate``.  Otherwise orders 3 and 4 follow, and orders 5 and up come
-    from one walk of bordered minors, updated by Sylvester's identity and
-    eliminated afresh below a zero pivot; its preorder meets each order's
-    subsets lexicographically (module docstring).  The walk is refused
-    with ValueError when it would cover more than _SCAN_GUARD subsets, so
-    only a pair without a certificate and without a difference up to
-    order 4 meets that bound.  Witness minors are in field values.
+    ``certificate``.  Otherwise orders 3 and 4 follow, on the subsets that
+    hold an entry where each solved gauge fails its re-check (a subset with
+    none carries that gauge's certificate, so its minors agree).  Orders 5
+    and up come from one walk of bordered minors, updated by Sylvester's
+    identity and eliminated afresh below a zero pivot; its preorder meets
+    each order's subsets lexicographically (module docstring).  The walk is
+    refused with ValueError when it would cover more than _SCAN_GUARD
+    subsets, so only a pair without a certificate and without a difference
+    up to order 4 meets that bound.  Witness minors are in field values.
     """
     require_same_points(k, q)
     n = k.n
@@ -164,10 +181,14 @@ def check_equivalence(k, q, max_order=None):
     orders = range(1, min(cap, 4) + 1)
     witness = next(_drift(k.field, kr, qr, orders[:2]), None)
     if witness is None:
-        found = _certify(k, q, rows)
+        found, failed = _certify(k, q, rows)
         if found is not None:
             return EquivalenceReport(True, cap, certificate=found)
-        witness = next(_drift(k.field, kr, qr, orders[2:]), None)
+        graphs = ()
+        if sum(math.comb(n, r) for r in orders[2:]) > n * n:
+            graphs = [g for g in (_failure_graph(k.field, h, t_rows, qr)
+                                  for h, t_rows in failed) if g]
+        witness = next(_drift(k.field, kr, qr, orders[2:], graphs), None)
     if witness is None and cap >= 5:
         subsets = sum(math.comb(n, r) for r in range(1, cap + 1))
         if subsets > _SCAN_GUARD:
@@ -201,24 +222,33 @@ def certify(k, q):
     ``certificate``.
     """
     require_same_points(k, q)
-    return _certify(k, q, _shared_rows(k, q))
+    return _certify(k, q, _shared_rows(k, q))[0]
 
 
 def _certify(k, q, rows):
     """``certify`` on rows = ((kr, qr), scales), the integer rows of k and
-    q and their row scales, as ``_shared_rows`` returns them."""
+    q and their row scales, as ``_shared_rows`` returns them.
+
+    Returns (certificate, None), or (None, failed) where failed lists
+    (h, t_rows) for each framework whose gauge was solved but failed the
+    re-check."""
     field = k.field
     base = min(range(k.n), key=lambda i: k.labels[i])
     (kr, qr), scales = rows
+    failed = []
     for transposed in (False, True):
         t_rows = list(zip(*kr)) if transposed else kr
         start = scales if transposed else [1] * k.n
         h = _propagate_gauge(field, t_rows, qr, base, start)
-        if h is not None and _rechecks(field, h, t_rows, qr):
+        if h is None:
+            continue
+        if _rechecks(field, h, t_rows, qr):
             if transposed:
                 h = [field.div(x, d) for x, d in zip(h, scales)]
-            return transposed, Gauge(field, k.labels, h), k.labels[base]
-    return None
+            return (transposed, Gauge(field, k.labels, h),
+                    k.labels[base]), None
+        failed.append((h, t_rows))
+    return None, failed
 
 
 def _rechecks(field, h, t_rows, qr):
@@ -226,14 +256,43 @@ def _rechecks(field, h, t_rows, qr):
     first that fails.  h is first scaled to integers by the lcm of its
     denominators (an int's is 1), and each difference is tested by
     ``field.nonzero``: over GF(p) reduced mod p, with no inverse."""
-    lcm = math.lcm(*(v.denominator for v in h))
-    h = [v.numerator * (lcm // v.denominator) for v in h]
+    h = _integer_gauge(h)
     differ = field.nonzero
     for q_row, t_row, hi in zip(qr, t_rows, h):
         for qx, tx, hj in zip(q_row, t_row, h):
             if differ(qx * hj - hi * tx):
                 return False
     return True
+
+
+def _failure_graph(field, h, t_rows, qr):
+    """The entries where ``_rechecks`` fails, as an undirected graph: one
+    bitmask per point, with bit j of point i set when qr(i,j) h(j) differs
+    from h(i) t(i,j) or qr(j,i) h(i) from h(j) t(j,i).
+
+    Returns None once more than 2n entries fail: so dense a graph leaves
+    most subsets to compare, and the rest of its pass would cost more than
+    it saves."""
+    h = _integer_gauge(h)
+    differ = field.nonzero
+    graph = [0] * len(h)
+    room = 2 * len(h)
+    for i, (q_row, t_row, hi) in enumerate(zip(qr, t_rows, h)):
+        for j, (qx, tx, hj) in enumerate(zip(q_row, t_row, h)):
+            if differ(qx * hj - hi * tx):
+                room -= 1
+                if room < 0:
+                    return None
+                graph[i] |= 1 << j
+                graph[j] |= 1 << i
+    return graph
+
+
+def _integer_gauge(h):
+    """h times the lcm of its denominators (an int's is 1): the same
+    relations qr(i,j) h(j) = h(i) t(i,j) hold, on integers."""
+    lcm = math.lcm(*(v.denominator for v in h))
+    return [v.numerator * (lcm // v.denominator) for v in h]
 
 
 def _propagate_gauge(field, t_rows, qr, base, start):
@@ -305,15 +364,65 @@ def _integer_pair(k, q):
     return _shared_rows(k, q)[0]
 
 
-def _drift(field, kr, qr, orders):
+def _drift(field, kr, qr, orders, graphs=()):
     """Yield each subset of the given orders (1-4) of the integer rows, in
-    scan order, whose closed-form term differs."""
+    scan order, whose closed-form term differs.
+
+    With graphs, the failure graphs of the gauges that did not re-check
+    (``_failure_graph``), only the subsets that hold an edge of every graph
+    are compared (``_edged_subsets``); the rest carry a gauge that re-checks
+    on them, so their terms agree."""
     differ = field.nonzero
+    n = len(kr)
     for order in orders:
         term = _CYCLE_TERMS[order]
-        for s in itertools.combinations(range(len(kr)), order):
+        subsets = (_edged_subsets(n, order, graphs) if graphs
+                   else itertools.combinations(range(n), order))
+        for s in subsets:
             if differ(term(kr, s) - term(qr, s)):
                 yield s
+
+
+def _edged_subsets(n, order, graphs):
+    """The subsets of `order` points out of n that hold an edge of every
+    graph, in lexicographic order.
+
+    A subset grows one point at a time and carries, per graph, None once
+    it holds an edge, else the union of its points' neighbours, N.  The
+    next point x must still lead to an edge of each graph.  With one
+    point left, x is in N.  With two, x is in N, or a later point can be
+    (x is below the highest of N), or x has a neighbour above it.  With
+    more, x is at most the highest point of N or of those with a
+    neighbour above them.
+    """
+    top = (1 << n) - 1
+    lower = [sum(1 << i for i, mask in enumerate(g) if mask >> i + 1)
+             for g in graphs]
+
+    def extend(head, last, near):
+        rest = order - len(head)
+        allowed = top >> last + 1 << last + 1
+        for mask, low in zip(near, lower):
+            if mask is None:
+                continue
+            if rest == 1:
+                allowed &= mask
+            elif rest == 2:
+                allowed &= low | (1 << mask.bit_length()) - 1
+            else:
+                allowed &= (1 << max(mask, low).bit_length()) - 1
+        while allowed:
+            bit = allowed & -allowed
+            allowed ^= bit
+            x = bit.bit_length() - 1
+            if rest == 1:
+                yield (*head, x)
+            elif x <= n - rest:
+                yield from extend((*head, x), x, [
+                    None if mask is None or mask >> x & 1 else mask | g[x]
+                    for mask, g in zip(near, graphs)])
+
+    return extend((), -1, [0] * len(graphs))
 
 
 def _walk(field, kr, qr, cap):

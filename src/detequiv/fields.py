@@ -78,7 +78,7 @@ class Rationals:
         return -a
 
     def div(self, a, b):
-        return Fraction(a) / b
+        return Fraction(a, b)
 
     def inv(self, a):
         return Fraction(1) / a
