@@ -63,8 +63,9 @@ so the solve misses no certificate.  Both frameworks are one problem on
 the integer rows the scan already holds, kr = D k and qr = D q: q = g k g⁻¹
 is qr = g kr g⁻¹, and since krᵀ = kᵀ D, q = g kᵀ g⁻¹ is qr = h krᵀ h⁻¹
 with h = D g.  So the solve and the re-check of qr(i,j) h(j) = h(i) t(i,j)
-take t = kr or its columns and no row scale, and the re-check stops at
-the first entry that fails; no transposed or conjugated kernel is built.
+take t = kr or its columns and no row scale, and the re-check
+(``_failing_entries``) stops at the first entry that fails; no transposed
+or conjugated kernel is built.
 Only a pair without a certificate pays for the 3-cycle and 4-cycle sums
 and the walk, and only such a pair meets the guard on the walk's size.
 
@@ -74,14 +75,12 @@ qr[S] = h t[S] h⁻¹, so every minor and every cycle sum on S agrees with
 t's, which are kr's (a transpose keeps each minor and each forward +
 reversed sum).  So once both re-checks have failed, each framework
 that has a gauge records its failing entries (i, j) as the edges of a
-graph (``_failure_graph``), and orders 3 and 4 compare only the subsets
-that hold an edge of every graph, still in lexicographic order
-(``_edged_subsets``).  Every skipped subset agrees, so the verdict and the
-witness are those of the full scan.  A framework whose zero layout differs
-from q's has no gauge and no graph, and narrows nothing.  A graph costs a
-pass over the n^2 entries, so the graphs are built only when the sums
-they narrow cover more than n^2 subsets, and a graph is dropped, narrowing
-nothing, once more than 2n entries fail.
+graph (``_failure_graph``), its re-check going on from the entry where it
+stopped, and orders 3 and 4 compare only the subsets that hold an edge of
+every graph, still in lexicographic order (``_edged_subsets``).  Every
+skipped subset agrees, so the verdict and the witness are those of the
+full scan.  A framework whose zero layout differs from q's has no gauge
+and no graph, and narrows nothing.
 """
 
 import itertools
@@ -181,13 +180,10 @@ def check_equivalence(k, q, max_order=None):
     orders = range(1, min(cap, 4) + 1)
     witness = next(_drift(k.field, kr, qr, orders[:2]), None)
     if witness is None:
-        found, failed = _certify(k, q, rows)
+        found, failures = _certify(k, q, rows)
         if found is not None:
             return EquivalenceReport(True, cap, certificate=found)
-        graphs = ()
-        if sum(math.comb(n, r) for r in orders[2:]) > n * n:
-            graphs = [g for g in (_failure_graph(k.field, h, t_rows, qr)
-                                  for h, t_rows in failed) if g]
+        graphs = [_failure_graph(n, entries) for entries in failures]
         witness = next(_drift(k.field, kr, qr, orders[2:], graphs), None)
     if witness is None and cap >= 5:
         subsets = sum(math.comb(n, r) for r in range(1, cap + 1))
@@ -215,7 +211,7 @@ def certify(k, q):
     (``_propagate_gauge``), with h = 1 at each root directly and D_root
     flipped, and re-checks qr(i,j) h(j) = h(i) t(i,j) at every (i, j),
     the diagonal included, giving up at the first entry that fails
-    (``_rechecks``).  A flipped h that passes is returned as g = h / D.
+    (``_failing_entries``).  A flipped h that passes is returned as g = h / D.
     No conjugated kernel is built.  Such a certificate preserves every
     principal minor, so it proves equivalence whether or not either kernel
     has property D.  ``check_equivalence`` returns it as the report's
@@ -229,70 +225,59 @@ def _certify(k, q, rows):
     """``certify`` on rows = ((kr, qr), scales), the integer rows of k and
     q and their row scales, as ``_shared_rows`` returns them.
 
-    Returns (certificate, None), or (None, failed) where failed lists
-    (h, t_rows) for each framework whose gauge was solved but failed the
-    re-check."""
+    Returns (certificate, ()), or (None, failures) where failures holds,
+    for each framework whose gauge was solved but failed the re-check, the
+    rest of its ``_failing_entries``, from the first failing entry on."""
     field = k.field
     base = min(range(k.n), key=lambda i: k.labels[i])
     (kr, qr), scales = rows
-    failed = []
+    failures = []
     for transposed in (False, True):
         t_rows = list(zip(*kr)) if transposed else kr
         start = scales if transposed else [1] * k.n
         h = _propagate_gauge(field, t_rows, qr, base, start)
         if h is None:
             continue
-        if _rechecks(field, h, t_rows, qr):
+        entries = _failing_entries(field, h, t_rows, qr)
+        first = next(entries, None)
+        if first is None:
             if transposed:
                 h = [field.div(x, d) for x, d in zip(h, scales)]
             return (transposed, Gauge(field, k.labels, h),
-                    k.labels[base]), None
-        failed.append((h, t_rows))
-    return None, failed
+                    k.labels[base]), ()
+        failures.append(itertools.chain((first,), entries))
+    return None, failures
 
 
 def _rechecks(field, h, t_rows, qr):
     """Whether qr(i,j) h(j) = h(i) t(i,j) at every entry; False at the
-    first that fails.  h is first scaled to integers by the lcm of its
+    first that fails (``_failing_entries``)."""
+    return next(_failing_entries(field, h, t_rows, qr), None) is None
+
+
+def _failing_entries(field, h, t_rows, qr):
+    """Yield each entry (i, j), row by row, where qr(i,j) h(j) differs
+    from h(i) t(i,j).  h is first scaled to integers by the lcm of its
     denominators (an int's is 1), and each difference is tested by
     ``field.nonzero``: over GF(p) reduced mod p, with no inverse."""
-    h = _integer_gauge(h)
-    differ = field.nonzero
-    for q_row, t_row, hi in zip(qr, t_rows, h):
-        for qx, tx, hj in zip(q_row, t_row, h):
-            if differ(qx * hj - hi * tx):
-                return False
-    return True
-
-
-def _failure_graph(field, h, t_rows, qr):
-    """The entries where ``_rechecks`` fails, as an undirected graph: one
-    bitmask per point, with bit j of point i set when qr(i,j) h(j) differs
-    from h(i) t(i,j) or qr(j,i) h(i) from h(j) t(j,i).
-
-    Returns None once more than 2n entries fail: so dense a graph leaves
-    most subsets to compare, and the rest of its pass would cost more than
-    it saves."""
-    h = _integer_gauge(h)
-    differ = field.nonzero
-    graph = [0] * len(h)
-    room = 2 * len(h)
-    for i, (q_row, t_row, hi) in enumerate(zip(qr, t_rows, h)):
-        for j, (qx, tx, hj) in enumerate(zip(q_row, t_row, h)):
-            if differ(qx * hj - hi * tx):
-                room -= 1
-                if room < 0:
-                    return None
-                graph[i] |= 1 << j
-                graph[j] |= 1 << i
-    return graph
-
-
-def _integer_gauge(h):
-    """h times the lcm of its denominators (an int's is 1): the same
-    relations qr(i,j) h(j) = h(i) t(i,j) hold, on integers."""
     lcm = math.lcm(*(v.denominator for v in h))
-    return [v.numerator * (lcm // v.denominator) for v in h]
+    h = [v.numerator * (lcm // v.denominator) for v in h]
+    differ = field.nonzero
+    points = range(len(h))
+    for i, q_row, t_row, hi in zip(points, qr, t_rows, h):
+        for j, qx, tx, hj in zip(points, q_row, t_row, h):
+            if differ(qx * hj - hi * tx):
+                yield i, j
+
+
+def _failure_graph(n, entries):
+    """The failing entries (i, j) as an undirected graph on n points: one
+    bitmask per point, with bit j of point i and bit i of point j set."""
+    graph = [0] * n
+    for i, j in entries:
+        graph[i] |= 1 << j
+        graph[j] |= 1 << i
+    return graph
 
 
 def _propagate_gauge(field, t_rows, qr, base, start):
@@ -384,45 +369,27 @@ def _drift(field, kr, qr, orders, graphs=()):
 
 
 def _edged_subsets(n, order, graphs):
-    """The subsets of `order` points out of n that hold an edge of every
-    graph, in lexicographic order.
-
-    A subset grows one point at a time and carries, per graph, None once
-    it holds an edge, else the union of its points' neighbours, N.  The
-    next point x must still lead to an edge of each graph.  With one
-    point left, x is in N.  With two, x is in N, or a later point can be
-    (x is below the highest of N), or x has a neighbour above it.  With
-    more, x is at most the highest point of N or of those with a
-    neighbour above them.
-    """
+    """The subsets of `order` >= 2 points out of n that hold an edge of
+    every graph, in lexicographic order.  For each head, the subset but its
+    last point, the last point is drawn from the points above the head and,
+    for each graph in which the head holds no edge, from the head's
+    neighbours in it."""
     top = (1 << n) - 1
-    lower = [sum(1 << i for i, mask in enumerate(g) if mask >> i + 1)
-             for g in graphs]
-
-    def extend(head, last, near):
-        rest = order - len(head)
-        allowed = top >> last + 1 << last + 1
-        for mask, low in zip(near, lower):
-            if mask is None:
-                continue
-            if rest == 1:
-                allowed &= mask
-            elif rest == 2:
-                allowed &= low | (1 << mask.bit_length()) - 1
-            else:
-                allowed &= (1 << max(mask, low).bit_length()) - 1
+    for head in itertools.combinations(range(n - 1), order - 1):
+        allowed = top >> head[-1] + 1 << head[-1] + 1
+        points = 0
+        for x in head:
+            points |= 1 << x
+        for graph in graphs:
+            near = 0
+            for x in head:
+                near |= graph[x]
+            if not near & points:
+                allowed &= near
         while allowed:
             bit = allowed & -allowed
             allowed ^= bit
-            x = bit.bit_length() - 1
-            if rest == 1:
-                yield (*head, x)
-            elif x <= n - rest:
-                yield from extend((*head, x), x, [
-                    None if mask is None or mask >> x & 1 else mask | g[x]
-                    for mask, g in zip(near, graphs)])
-
-    return extend((), -1, [0] * len(graphs))
+            yield (*head, bit.bit_length() - 1)
 
 
 def _walk(field, kr, qr, cap):
