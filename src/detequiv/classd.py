@@ -19,6 +19,13 @@ that keys each column by its ratio, and a collision of keys is a
 vanishing minor: O(n^3) in all, against O(n^4) quadruples.  The witness's
 columns then come from the cross minors themselves, on the two rows.
 
+No ratio is divided out: each row pair's keys are the ratios times a
+nonzero constant, which leaves the same keys colliding.  Over GF(p) the
+constant is P, the product of row x's nonzero entries, so column c's key
+is h(w,c) times the product of row x's other nonzero entries, and the
+scan computes no modular inverse.  Over Q it is L, the lcm of row x's
+integer entries, and the key is h(w,c) (L // h(x,c)).
+
 Over Q each row x is scaled to integers by D_x, the lcm of its
 denominators.  The cross minor on rows {x,w} takes one entry from each of
 them in both of its terms, so scaling multiplies it by D_x D_w, which is
@@ -55,12 +62,14 @@ def _vanishing_quad(field, rows, first=False):
     ordering of any vanishing quadruple, as the others swap the rows or the
     columns of the same minor.
 
-    Row x is inverted once for all its row pairs.  Over GF(p), entries in
-    [0, p), each inverse is computed once per value.  Over Q, rows of
-    Fractions are scaled to integers first (module docstring), and rows of
-    ints, a kernel's integer rows or the draws of ``lab.gen_instance``,
+    Row x's cofactors cof_x, 0 at its zeros, serve all its row pairs:
+    keys[c] = rows[w][c] cof_x[c].  Over GF(p), entries in [0, p),
+    cof_x[c] is the product of the row's other nonzero entries, built from
+    prefix and suffix products in 3n multiplications mod p.  Over Q, rows
+    of Fractions are scaled to integers first (module docstring), and rows
+    of ints, a kernel's integer rows or the draws of ``lab.gen_instance``,
     are scanned as they are; one entry's type tells the two apart.  An
-    integer row's inverses are L // a, L the lcm of its nonzero entries.
+    integer row's cofactors are L // a, L the lcm of its nonzero entries.
     """
     n = len(rows)
     if n < 4:
@@ -69,23 +78,31 @@ def _vanishing_quad(field, rows, first=False):
     if not p and type(rows[0][0]) is not int:
         (rows,), _ = integer_rows(field, rows)
     differ = field.nonzero
-    cache = {0: 0}   # inverses over GF(p), by value
     best = None
     for x, row_x in enumerate(rows):
         if p:
-            inv_x = [cache[v] if v in cache
-                     else cache.setdefault(v, pow(v, -1, p)) for v in row_x]
+            cof_x, prefix, run = [0] * n, [], 1
+            for a in row_x:
+                prefix.append(run)
+                if a:
+                    run = run * a % p
+            run = 1
+            for c in range(n - 1, -1, -1):
+                a = row_x[c]
+                if a:
+                    cof_x[c] = prefix[c] * run % p
+                    run = run * a % p
         else:
             lcm = math.lcm(*row_x) or math.lcm(*filter(None, row_x))
-            inv_x = [lcm // a if a else 0 for a in row_x]
+            cof_x = [lcm // a if a else 0 for a in row_x]
         zeros_x = [c for c, a in enumerate(row_x)
                    if not a and c != x] if 0 in row_x else ()
         for w in range(x + 1, n):
             row_w = rows[w]
             if p:
-                keys = [b * i % p for b, i in zip(row_w, inv_x)]
+                keys = [b * i % p for b, i in zip(row_w, cof_x)]
             else:
-                keys = [b * i for b, i in zip(row_w, inv_x)]
+                keys = [b * i for b, i in zip(row_w, cof_x)]
             wild = []
             for c in zeros_x:
                 if row_w[c]:

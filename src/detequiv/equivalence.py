@@ -242,7 +242,8 @@ def _certify(k, q, rows):
         first = next(entries, None)
         if first is None:
             if transposed:
-                h = [field.div(x, d) for x, d in zip(h, scales)]
+                h = [x if d == 1 else field.div(x, d)
+                     for x, d in zip(h, scales)]
             return (transposed, Gauge(field, k.labels, h),
                     k.labels[base]), ()
         failures.append(itertools.chain((first,), entries))

@@ -173,7 +173,7 @@ class PrimeField:
     def inv(self, a):
         if a % self.p == 0:
             raise ZeroDivisionError(f"inverse of 0 in GF({self.p})")
-        return pow(a, self.p - 2, self.p)
+        return pow(a, -1, self.p)
 
     def is_zero(self, a):
         return a == 0

@@ -1,15 +1,25 @@
 """Nondegeneracy scan and zero-pattern rules.
 
 The scan verdict and its witness are checked against a brute-force sweep over
-every ordered quadruple of pairwise-distinct points, and against the quartic
-loop the row-pair scan replaced.
+every ordered quadruple of pairwise-distinct points, against the quartic
+loop the row-pair scan replaced, and against the row-pair scan as it was
+when it keyed GF(p) columns by modular inverses.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
-from detequiv.classd import check_class_d, class_d_ok
+import detequiv.classd as classd
+from detequiv.classd import (
+    _W,
+    _X,
+    _least_pair,
+    _vanishing_quad,
+    check_class_d,
+    class_d_ok,
+)
 from detequiv.fields import PrimeField, Rationals, integer_rows
 from detequiv.kernels import Gauge, Kernel
 from reference_audits import zero_pattern_validate
@@ -266,6 +276,120 @@ def test_scan_finds_a_planted_quadruple_at_twenty_four_points():
             witness = _assert_scan_matches_quartic(planted)
             assert witness is not None and witness <= (x, y, z, w)
             assert held is None or held <= witness
+
+
+def _zero_heavy_rows(rng, field, n, share):
+    return [[0 if rng.random() < share else rng.randrange(1, field.p)
+             for _ in range(n)] for _ in range(n)]
+
+
+def _inverse_keyed_quad(field, rows, first=False):
+    """``classd._vanishing_quad`` as it was when it divided each GF(p) key
+    by rows[x][c] through a per-call cache of modular inverses; the body is
+    kept verbatim, and it shares ``_least_pair`` and the key sentinels."""
+    n = len(rows)
+    if n < 4:
+        return None
+    p = field.p if field.kind == "prime" else None
+    if not p and type(rows[0][0]) is not int:
+        (rows,), _ = integer_rows(field, rows)
+    differ = field.nonzero
+    cache = {0: 0}   # inverses over GF(p), by value
+    best = None
+    for x, row_x in enumerate(rows):
+        if p:
+            inv_x = [cache[v] if v in cache
+                     else cache.setdefault(v, pow(v, -1, p)) for v in row_x]
+        else:
+            lcm = math.lcm(*row_x) or math.lcm(*filter(None, row_x))
+            inv_x = [lcm // a if a else 0 for a in row_x]
+        zeros_x = [c for c, a in enumerate(row_x)
+                   if not a and c != x] if 0 in row_x else ()
+        for w in range(x + 1, n):
+            row_w = rows[w]
+            if p:
+                keys = [b * i % p for b, i in zip(row_w, inv_x)]
+            else:
+                keys = [b * i for b, i in zip(row_w, inv_x)]
+            wild = []
+            for c in zeros_x:
+                if row_w[c]:
+                    keys[c] = math.inf
+                elif c != w:
+                    wild.append(c)
+            keys[x], keys[w] = _X, _W
+            if wild or len(set(keys)) < n:
+                if first:
+                    return x, w
+                quad = (x, *_least_pair(row_x, row_w, x, w, differ), w)
+                if best is None or quad < best:
+                    best = quad
+        if best is not None:
+            return best
+    return None
+
+
+def test_scan_matches_inverse_keyed_loop():
+    # co-product keys are the inverse-keyed ones times P, the product of
+    # row x's nonzero entries: the same keys collide, so the verdict, the
+    # witness and the first row pair are the same
+    rng = random.Random(421)
+    fields = [PrimeField(p) for p in (2, 3, 5, 7, 11, 101, 1000003)]
+    seen = set()
+    drawn = 0
+    for field in fields:
+        for n in range(1, 13):
+            for _ in range(120):
+                share = rng.choice((0, 0.1, 0.2, 0.4, 0.7))
+                rows = _zero_heavy_rows(rng, field, n, share)
+                if n >= 4 and rng.random() < 0.3:
+                    # a vanishing cross minor deep in the scan, if it can be
+                    # planted: h(w,z) = h(x,z) h(w,y) / h(x,y)
+                    x, w = sorted(rng.sample(range(n), 2))
+                    y, z = rng.sample([c for c in range(n)
+                                       if c not in (x, w)], 2)
+                    if rows[x][y]:
+                        rows[w][z] = field.div(
+                            field.mul(rows[x][z], rows[w][y]), rows[x][y])
+                for first in (False, True):
+                    got = _vanishing_quad(field, rows, first)
+                    assert got == _inverse_keyed_quad(field, rows, first), \
+                        (field, rows, first)
+                seen.add((field.p, n >= 4, got is None))
+                drawn += 1
+    assert drawn >= 10000
+    # from four points on both verdicts occur over every field but GF(2)
+    # and GF(3), whose few units leave dense draws degenerate
+    assert {(p, held) for p, big, held in seen if big} >= \
+        {(p, held) for p in (5, 7, 11, 101, 1000003) for held in (False, True)}
+
+
+def test_scan_computes_no_modular_power(monkeypatch):
+    # the GF(p) scan keys by co-products: a pow anywhere in the module
+    # would raise here
+    rng = random.Random(422)
+    cases = [(PrimeField(2), [[1, 0, 1, 1], [1, 1, 0, 1],
+                              [1, 1, 1, 0], [0, 1, 1, 1]])]
+    for field in (PrimeField(2), F7, PrimeField(1000003)):
+        for n in (4, 5, 6, 8):
+            for _ in range(30):
+                rows = _zero_heavy_rows(rng, field, n, 0.15)
+                if any(not rows[i][j] for i in range(n) for j in range(n)
+                       if i != j):
+                    cases.append((field, rows))
+    expected = [_quartic_reference(field, rows) for field, rows in cases]
+
+    def no_pow(*args):
+        raise AssertionError("classd called pow")
+    monkeypatch.setattr(classd, "pow", no_pow, raising=False)
+    seen = set()
+    for (field, rows), ref in zip(cases, expected):
+        k = Kernel(field, [str(i + 1) for i in range(len(rows))], rows)
+        assert check_class_d(k).witness == ref
+        assert class_d_ok(field, rows) is (ref is None)
+        seen.add((field.p, ref is None))
+    assert seen == {(p, held) for p in (2, 7, 1000003)
+                    for held in (False, True)}
 
 
 def test_verdict_invariant_under_conjugation_and_flip():

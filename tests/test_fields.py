@@ -129,6 +129,33 @@ def test_division_by_zero_raises():
         F7.div(3, 0)
 
 
+
+def test_prime_inverse_matches_fermat():
+    # inv is pow(a, -1, p); Fermat's a^(p-2) is the independent value
+    small = [p for p in range(2, 102) if is_prime(p)]
+    for p in small:
+        f = PrimeField(p)
+        for a in range(1, p):
+            assert f.inv(a) == pow(a, p - 2, p), (p, a)
+    rng = random.Random(12)
+    for p in (1000003, 2**31 - 1):
+        f = PrimeField(p)
+        for _ in range(1000):
+            a = rng.randrange(1, p)
+            assert f.inv(a) == pow(a, p - 2, p), (p, a)
+        # unreduced arguments, as integer rows hand them over
+        for a in (-1, p + 1, -(3 * p) - 2, p * p + 5):
+            assert f.inv(a) == pow(a % p, p - 2, p), (p, a)
+
+
+def test_prime_inverse_of_a_multiple_of_p_raises():
+    for p in (2, 7, 101, 1000003, 2**31 - 1):
+        f = PrimeField(p)
+        for a in (0, p, -p, 5 * p, p * p):
+            with pytest.raises(ZeroDivisionError,
+                               match=re.escape(f"inverse of 0 in GF({p})")):
+                f.inv(a)
+
 def test_prime_modulus_validation():
     with pytest.raises(ValueError):
         PrimeField(6)

@@ -206,6 +206,28 @@ def _outcome(fn, k, q):
     return res.transposed, res.gauge, res.base_label
 
 
+
+def test_flipped_prime_certificate_takes_no_inverse(monkeypatch):
+    # over GF(p) every row scale is 1, so the flipped gauge is not divided
+    pairs = []
+    for field, sizes in ((F7, (4, 5)), (F101, (4, 5, 8)),
+                         (PrimeField(1000003), (4, 8))):
+        for n, zeros in itertools.product(sizes, range(3)):
+            k, q, _ = gen_instance(InstanceSpec(
+                field=field, n=n, transpose=True, zero_edges=zeros,
+                seed=10 * n + zeros))
+            pairs.append((k, q))
+    results = []
+    with monkeypatch.context() as m:
+        def refuse(self, a):
+            raise AssertionError("a GF(p) certificate took an inverse")
+        m.setattr(PrimeField, "inv", refuse)
+        for k, q in pairs:
+            results.append(check_equivalence(k, q).certificate)
+    for (k, q), (transposed, gauge, _) in zip(pairs, results):
+        assert transposed
+        assert k.transpose().conjugate(gauge) == q
+
 def test_recover_matches_the_table_first_order():
     rng = random.Random(20261018)
     cases = [_case(rng) for _ in range(600)]
