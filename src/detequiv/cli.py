@@ -4,12 +4,14 @@ Exit codes: 0 positive verdict, 1 negative verdict (with witness in the
 report), 2 bad input or unsatisfiable precondition, 3 internal fault: any
 exception that is neither a verdict nor bad input.
 
-Each call builds its argument parser afresh and gives options only to the
-command it runs, the first word of the arguments that is not an option.
-Every other command is still registered with its name and help, which the
-top-level help, the usage line and the invalid-choice error print. The
-parser is not cached, since the bench's ``peak_rss_mb`` grows with the
-calls a run makes and a cache pushed it past its bound (ROADMAP item 6).
+Each call builds its argument parser afresh and gives options, ``-h``
+included, only to the command it runs: the first word of the arguments
+that does not start with a dash. Every other command is a bare stub with
+its name, help line and handler, which is all the top-level help, the
+usage line and the invalid-choice error print; argparse never hands a stub
+a word to parse (see ``_build_parser``). The parser is not cached, since
+the bench's ``peak_rss_mb`` grows with the calls a run makes and a cache
+pushed it past its bound (ROADMAP item 6).
 """
 
 import argparse
@@ -273,11 +275,19 @@ def _cmd_search(args):
 def _build_parser(command):
     """The argument parser for one call, with options for ``command`` only.
 
-    Every command is registered with its name, help text and handler, since
+    Every command is registered with its name, help line and handler, since
     the top-level help, the usage line and the invalid-choice error print
-    all of them. Only the subparser of ``command`` gets ``--k``, ``--q``,
-    ``--out`` and its own options: argparse hands every word after the
-    command to that subparser alone, so the others never parse a word.
+    all of them. Only the subparser of ``command`` gets ``-h``, ``--k``,
+    ``--q``, ``--out`` and its own options; the others are stubs built with
+    ``add_help=False``, which spares each a help action and its formatter.
+
+    No stub is ever parsed. Argparse hands the remaining words to the one
+    subparser named by the first positional, and the top level has no
+    option that takes a value, so that positional is the first word without
+    a leading dash, which is ``command``, unless a dash-led word comes first
+    as a positional (``-1``, ``-``, or any word after ``--``). No command
+    name starts with a dash, so such a word fails as an invalid choice
+    before any subparser runs.
 
     The parser is built on every call, not cached. The bench's
     ``peak_rss_mb`` grows with the calls a run makes, and a cache made
@@ -291,7 +301,7 @@ def _build_parser(command):
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, handler, help_text, *, pair=False, single=False):
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, add_help=name == command)
         p.set_defaults(handler=handler)
         if name != command:
             return None

@@ -1,12 +1,16 @@
 """End-to-end command-line flows: exit codes, JSON reports, byte stability."""
 
 import argparse
+import collections
+import contextlib
+import io
 import json
 import random
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fractions import Fraction
 
@@ -611,6 +615,11 @@ _HELP_AND_ERROR_ARGVS = [
     ["-h"], ["--help"], [], ["nosuch"], ["-h", "recover"], ["--", "recover"],
     ["-x", "recover"], ["recover", "--k", "k.json", "--q", "q.json",
                         "--bogus", "1"],
+    # words that argparse reads as positionals although they start with a
+    # dash; main's command skips them
+    ["-1"], ["-"], ["-1", "recover"], ["--", "-h"],
+    ["recover", "--", "--k", "x"],
+    ["rec"],   # command names take no abbreviation
 ] + [argv for name in _COMMANDS
      for argv in ([name], [name, "-h"], [name, "--out"],
                   [name, "--k", "x", "-h"])]
@@ -629,17 +638,17 @@ _PARSED_ARGVS = [
 ]
 
 
-def _outcome(call, argv, capsys):
-    try:
-        code = call(argv)
-    except SystemExit as exc:
-        code = exc.code
-    out, err = capsys.readouterr()
-    return code, out, err
+def _outcome(call, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = call(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
 
 
-@pytest.mark.parametrize("argv", _HELP_AND_ERROR_ARGVS + _PARSED_ARGVS)
-def test_parser_matches_the_full_reference(argv, monkeypatch, capsys):
+def _match_the_full_reference(argv, monkeypatch):
     # main gives options to the invoked command alone; argparse must print
     # the same help, usage and errors, and parse the same namespace
     monkeypatch.setenv("COLUMNS", "80")
@@ -654,12 +663,50 @@ def test_parser_matches_the_full_reference(argv, monkeypatch, capsys):
         parsed.append(vars(_reference_parser().parse_args(argv)))
         return 0
 
-    assert _outcome(main, argv, capsys) == _outcome(reference, argv, capsys)
-    assert len(handled) == len(parsed) == (argv in _PARSED_ARGVS)
+    outcome = _outcome(main, argv)
+    assert outcome == _outcome(reference, argv)
+    assert len(handled) == len(parsed)
     for (name, got), want in zip(handled, parsed):
         assert want.pop("handler").__name__ == name
         got.pop("handler")
         assert got == want
+    return "parsed" if parsed else outcome[0]
+
+
+@pytest.mark.parametrize("argv", _HELP_AND_ERROR_ARGVS + _PARSED_ARGVS)
+def test_parser_matches_the_full_reference(argv, monkeypatch):
+    kind = _match_the_full_reference(argv, monkeypatch)
+    assert (kind == "parsed") == (argv in _PARSED_ARGVS)
+
+
+_OPTIONS = ("-h", "--help", "--k", "--q", "--out", "--max-order", "--field",
+            "--n", "--transpose", "--zeros", "--seed", "--max-attempts",
+            "--budget")
+_VALUES = ("x", "3", "prime:7")
+_WORD = st.sampled_from(_COMMANDS + _OPTIONS + ("--", "-", "-1") + _VALUES)
+_CHUNK = st.one_of(st.tuples(_WORD),
+                   st.tuples(st.sampled_from(_OPTIONS), st.sampled_from(_VALUES)))
+_ARGVS = st.one_of(
+    st.lists(_WORD, max_size=8),
+    # a call that parses, as it is or with one word or option and value put
+    # in, so that many draws parse
+    st.builds(lambda argv, at, chunk: [*argv[:at], *chunk, *argv[at:]],
+              st.sampled_from(_PARSED_ARGVS), st.integers(0, 13),
+              st.one_of(st.just(()), _CHUNK)))
+
+
+def test_drawn_argv_match_the_full_reference():
+    kinds = collections.Counter()
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(_ARGVS)
+    def check(argv):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            kinds[_match_the_full_reference(argv, monkeypatch)] += 1
+
+    check()
+    # parsed calls, help and usage errors all occur among the draws
+    assert {"parsed", 0, 2} <= set(kinds), kinds
 
 
 def test_main_reads_sys_argv(monkeypatch, capsys):
