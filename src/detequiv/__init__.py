@@ -28,7 +28,6 @@ from .errors import (
     DetEquivError,
     FieldMismatch,
     GenerationBudgetExceeded,
-    Inconsistent,
     LabelMismatch,
     MixedCases,
     NotEquivalent,
@@ -55,8 +54,6 @@ from .lab import (
 from .recovery import (
     RecoveryResult,
     build_cocycle_case1,
-    consistency_audit,
-    extract_gauge,
     recover,
     verify_cocycle,
 )
@@ -78,7 +75,6 @@ __all__ = [
     "GenerationBudgetExceeded",
     "GlobalCase",
     "GroundTruth",
-    "Inconsistent",
     "InstanceSpec",
     "Kernel",
     "LabelMismatch",
@@ -96,10 +92,8 @@ __all__ = [
     "check_class_d",
     "check_equivalence",
     "classify_3cycle",
-    "consistency_audit",
     "cycle_product",
     "determinant",
-    "extract_gauge",
     "field_from_doc",
     "gen_instance",
     "global_case",

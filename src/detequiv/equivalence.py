@@ -121,7 +121,7 @@ def quick_consequences(k, q):
     kind = (None, "diagonal", "pair")
     return PrecheckReport(tuple(
         PrecheckFailure(kind[len(s)], s, _field_term(k, s), _field_term(q, s))
-        for s in _drift(k.field, *_integer_pair(k, q), (1, 2))))
+        for s in _drift(k.field, *_shared_rows(k, q)[0], (1, 2))))
 
 
 class EquivalenceReport(NamedTuple):
@@ -250,12 +250,6 @@ def _certify(k, q, rows):
     return None, failures
 
 
-def _rechecks(field, h, t_rows, qr):
-    """Whether qr(i,j) h(j) = h(i) t(i,j) at every entry; False at the
-    first that fails (``_failing_entries``)."""
-    return next(_failing_entries(field, h, t_rows, qr), None) is None
-
-
 def _failing_entries(field, h, t_rows, qr):
     """Yield each entry (i, j), row by row, where qr(i,j) h(j) differs
     from h(i) t(i,j).  h is first scaled to integers by the lcm of its
@@ -343,11 +337,6 @@ def _rescale(rows, own, scales):
     """Integer rows at scales own, taken to the multiples scales."""
     return [row if a == d else [x * (d // a) for x in row]
             for row, a, d in zip(rows, own, scales)]
-
-
-def _integer_pair(k, q):
-    """Both kernels as integer rows on shared scales (``_shared_rows``)."""
-    return _shared_rows(k, q)[0]
 
 
 def _drift(field, kr, qr, orders, graphs=()):

@@ -61,15 +61,6 @@ class BranchUnavailable(DetEquivError):
         self.pair = tuple(pair)
 
 
-class Inconsistent(DetEquivError):
-    """The pivot-independence audit found two pivots giving different values."""
-
-    def __init__(self, message, *, pair, values):
-        super().__init__(message)
-        self.pair = tuple(pair)
-        self.values = tuple(values)
-
-
 class NotRecoverable(DetEquivError):
     """Small kernels only: equivalent, but no diagonal transform exists."""
 

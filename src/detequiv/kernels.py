@@ -69,7 +69,7 @@ class Kernel:
     the values and derives the integer rows when they are first asked for.
     """
 
-    __slots__ = ("field", "labels", "_rows", "_ints", "_index")
+    __slots__ = ("field", "labels", "_rows", "_ints")
 
     def __init__(self, field, labels, rows):
         rows = list(rows)
@@ -92,7 +92,6 @@ class Kernel:
             raise ValueError(f"entries must form an {n} x {n} matrix")
         self.field = field
         self.labels = labels
-        self._index = {lab: i for i, lab in enumerate(labels)}
 
     @property
     def rows(self):
@@ -119,8 +118,8 @@ class Kernel:
 
     def label_index(self, label):
         try:
-            return self._index[label]
-        except KeyError:
+            return self.labels.index(label)
+        except ValueError:
             raise KeyError(f"unknown label {label!r}") from None
 
     def principal_minor(self, indices):

@@ -16,10 +16,11 @@ for the minors and the certificate, plus the O(n^3) row-pair scan of k for
 property D (``classd.check_class_d``).
 
 The paper's constructive route, the ratio table with its cocycle laws, is
-kept as the reference the tests compare against.  The table S, with
-Q = S K entrywise, is a ``Kernel`` on the same points, g(x) / g(y) when a
-gauge g relates the two.  Whenever the table passes its laws, every pair
-is joined by a nonzero entry or a 2-path, so propagation returns the
+kept as the reference the tests compare against; the gauge read off it
+and the pivot audit are in ``tests/reference_audits.py``.  The table S,
+with Q = S K entrywise, is a ``Kernel`` on the same points, g(x) / g(y)
+when a gauge g relates the two.  Whenever the table passes its laws, every
+pair is joined by a nonzero entry or a 2-path, so propagation returns the
 identical gauge.
 
 A failure is a precise verdict: not equivalent, degenerate, or (for
@@ -40,7 +41,6 @@ from .equivalence import check_equivalence
 from .errors import (
     BranchUnavailable,
     ClassDViolation,
-    Inconsistent,
     NotEquivalent,
     NotRecoverable,
     VerificationFailed,
@@ -136,65 +136,6 @@ def verify_cocycle(c):
                     return CocycleCheck(False, CocycleViolation(
                         "triangle", (i, j, t), v))
     return CocycleCheck(True)
-
-
-def extract_gauge(c, base):
-    """Read the gauge g(x) = c(x, base) off a verified cocycle table.
-
-    For such a table c(x, y) = g(x)/g(y) with g(base) = 1: the triangle law
-    through the base point gives c(x, y) = c(x, base) c(base, y) and the
-    pair law turns c(base, y) into 1/c(y, base).
-    """
-    if not 0 <= base < c.n:
-        raise IndexError(f"base index {base} out of range for n={c.n}")
-    return Gauge(c.field, c.labels, [c.rows[x][base] for x in range(c.n)])
-
-
-def consistency_audit(k, q, x, y, case=GlobalCase.CASE1):
-    """Check that the doubly-indirect ratio does not depend on the pivot.
-
-    Preconditions: n >= 4 and K(x, y) = 0.  Evaluates the pivot expression
-    of the third cocycle branch at every admissible z; all values must
-    agree, and when K(y, x) is nonzero they must also equal the second
-    branch's value.  Returns the common value, raises Inconsistent
-    otherwise.  The flipped framework (CASE2) is the direct one on kᵀ, so
-    there the precondition reads K(y, x) = 0.
-    """
-    if case is GlobalCase.CASE2:
-        k = k.transpose()
-    require_same_points(k, q)
-    f = k.field
-    n = k.n
-    if n < 4:
-        raise ValueError(f"consistency audit needs n >= 4, got n={n}")
-    if x == y:
-        raise ValueError("need two distinct points")
-    zero = f.is_zero
-    if not zero(k.rows[x][y]):
-        raise ValueError("the framework's entry at (x, y) is not zero")
-    values = []
-    for z in range(n):
-        if z == x or z == y:
-            continue
-        ka = k.rows[x][z]
-        kb = k.rows[z][y]
-        if zero(ka) or zero(kb):
-            raise BranchUnavailable(
-                f"pivot {k.labels[z]!r} hits a zero entry, which the one-zero "
-                "layout rule forbids", pair=(x, y))
-        values.append(f.div(f.mul(q.rows[x][z], q.rows[z][y]), f.mul(ka, kb)))
-    if any(v != values[0] for v in values[1:]):
-        raise Inconsistent(
-            f"pivot expression at pair ({k.labels[x]!r}, {k.labels[y]!r}) "
-            "depends on the pivot", pair=(x, y), values=values)
-    if not zero(k.rows[y][x]):
-        direct = f.div(k.rows[y][x], q.rows[y][x])
-        if direct != values[0]:
-            raise Inconsistent(
-                f"pivot expression disagrees with the direct ratio at "
-                f"({k.labels[x]!r}, {k.labels[y]!r})",
-                pair=(x, y), values=(values[0], direct))
-    return values[0]
 
 
 class RecoveryResult(NamedTuple):

@@ -34,8 +34,9 @@ from detequiv.lab import (
     perturb,
     search_counterexample,
 )
-from detequiv.recovery import consistency_audit, recover, verify_cocycle
+from detequiv.recovery import recover, verify_cocycle
 from reference_audits import (
+    consistency_audit,
     four_point_audit,
     reversed_cycle_product,
     trace_identity_audit,

@@ -473,7 +473,7 @@ def test_bordered_walk_matches_determinants(monkeypatch):
                     got = check_equivalence(k, q, max_order=cap)
                     assert got == want, (field, n, cap, k.rows, q.rows)
                 if reports[n].equivalent:
-                    kr, qr = equivalence._integer_pair(k, q)
+                    kr, qr = equivalence._shared_rows(k, q)[0]
                     assert walk(field, kr, qr, n) is None
                     continue
                 order = len(reports[n].witness_subset)
@@ -509,7 +509,7 @@ def test_full_scan_at_sixteen_points():
                   [_wide_value(rng, field, unit=True) for _ in range(n)])
     kt = k.transpose().conjugate(gauge)
     assert check_equivalence(k, kt).equivalent
-    kr, qr = equivalence._integer_pair(k, kt)
+    kr, qr = equivalence._shared_rows(k, kt)[0]
     assert equivalence._walk(field, kr, qr, n) is None
     rows[ring[0]][ring[1]] = field.add(rows[ring[0]][ring[1]], field.one)
     q = Kernel(field, labels, rows).transpose().conjugate(gauge)
@@ -663,7 +663,7 @@ def test_integer_walk_matches_the_modular_walk(monkeypatch):
                      (k, k.transpose().conjugate(gauge)),
                      _ring_pair(rng, k, rng.randint(5, n), False))
             for a, b in pairs:
-                kr, qr = equivalence._integer_pair(a, b)
+                kr, qr = equivalence._shared_rows(a, b)[0]
                 for cap in range(5, n + 1):
                     want = _reference_walk(field, kr, qr, cap)
                     got = equivalence._walk(field, kr, qr, cap)
@@ -680,7 +680,7 @@ def test_integer_walk_matches_the_modular_walk(monkeypatch):
 def _plain_report(k, q, cap):
     """check_equivalence with no certificate: orders 1-4 by closed form,
     then the walk, up to the cap."""
-    kr, qr = equivalence._integer_pair(k, q)
+    kr, qr = equivalence._shared_rows(k, q)[0]
     witness = next(equivalence._drift(k.field, kr, qr,
                                       range(1, min(cap, 4) + 1)), None)
     if witness is None and cap >= 5:
@@ -983,10 +983,11 @@ def test_integer_recheck_matches_conjugation():
                             if gauge is None:
                                 continue
                             want = target.conjugate(gauge).rows == q.rows
-                            got = equivalence._rechecks(
+                            failing = equivalence._failing_entries(
                                 field, [field.mul(g, d) for g, d
                                         in zip(gauge.values, start)],
                                 t_rows, qr)
+                            got = next(failing, None) is None
                             assert got is want, (field, n, transposed,
                                                  k.rows, q.rows)
                             verdicts.add((field, want))

@@ -28,10 +28,10 @@ from detequiv.lab import InstanceSpec, _push_gauge, gen_instance, perturb
 from detequiv.recovery import (
     RecoveryResult,
     build_cocycle_case1,
-    extract_gauge,
     recover,
     verify_cocycle,
 )
+from reference_audits import extract_gauge
 
 Q = Rationals()
 F7 = PrimeField(7)

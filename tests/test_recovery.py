@@ -14,19 +14,13 @@ from detequiv.classify import CaseLabel, CaseTable, GlobalCase
 from detequiv.errors import (
     BranchUnavailable,
     ClassDViolation,
-    Inconsistent,
     NotEquivalent,
     NotRecoverable,
 )
 from detequiv.kernels import Gauge, Kernel
 from detequiv.fields import PrimeField, Rationals
-from detequiv.recovery import (
-    build_cocycle_case1,
-    consistency_audit,
-    extract_gauge,
-    recover,
-    verify_cocycle,
-)
+from detequiv.recovery import build_cocycle_case1, recover, verify_cocycle
+from reference_audits import Inconsistent, consistency_audit, extract_gauge
 
 Q = Rationals()
 F7 = PrimeField(7)
