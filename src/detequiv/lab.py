@@ -5,7 +5,6 @@ produce the same instance, and the oracles are written independently of the
 recovery pipeline so the two can act as checks on each other.
 """
 
-import itertools
 import json
 import random
 from typing import NamedTuple
@@ -46,7 +45,7 @@ def _draws(rng, slots):
 
     r = getrandbits(bits), redrawn while r >= width, is how randrange draws
     on CPython 3.10-3.13; tests/test_lab.py pins the match.  Lazy, so a long
-    run of slots, such as search's whole budget, holds no list."""
+    run of slots holds no list."""
     getrandbits = rng.getrandbits
     for values, width, bits in slots:
         r = getrandbits(bits)
@@ -290,49 +289,60 @@ def search_counterexample(field, n, budget, seed):
 
     Samples `budget` kernel pairs over a small prime field, each kernel one
     draw below p^(n*n) whose base-p digit i*n + j is entry (i, j).  Two
-    screens come before anything heavier: the diagonals (the order-1
-    minors) must agree, compared digit by digit from the lowest up to the
-    first mismatch, and then the pair products k(i,j) k(j,i), which fix the
-    order-2 minors.  Every survivor goes through the full minor comparison
-    and the exhaustive oracle.  From n = 4 on, emitted pairs are re-verified
-    and must be degenerate (fail the cross-minor scan) on at least one side;
-    an equivalent nondegenerate pair with no transform would contradict the
-    rigidity theorem, so it raises instead of being returned.  Below n = 4
-    the theorem says nothing and the scan holds vacuously, so hits there
-    need not be degenerate.  Results are sorted by their serialized form;
-    an empty list is a normal outcome.  Both kernels come from getrandbits
-    exactly as randrange(p^(n*n)) makes them, which a test pins.
+    screens run on the draws before anything heavier: the diagonals (the
+    order-1 minors) must agree, the first diagonal digit tested by
+    (a - b) % p and the other n - 1 compared from the lowest up to the
+    first mismatch; then the pair products k(i,j) k(j,i), which fix the
+    order-2 minors, on digits read as a // p^t % p, up to the first
+    mismatch.  Only survivors are decoded into kernels; each goes through
+    the full minor comparison and the exhaustive oracle.  From n = 4 on,
+    emitted pairs are re-verified and must be degenerate (fail the
+    cross-minor scan) on at least one side; an equivalent nondegenerate
+    pair with no transform would contradict the rigidity theorem, so it
+    raises instead of being returned.  Below n = 4 the theorem says
+    nothing and the scan holds vacuously, so hits there need not be
+    degenerate.  Results are sorted by their serialized form; an empty
+    list is a normal outcome.  Both kernels come from getrandbits exactly
+    as randrange(p^(n*n)) makes them, which a test pins.
     """
     if not isinstance(field, PrimeField):
         raise ValueError("counterexample search runs over prime fields")
     if n < 1 or budget < 0:
         raise ValueError("need n >= 1 and budget >= 0")
     p = field.p
-    rng = random.Random(seed)
+    getrandbits = random.Random(seed).getrandbits
     cells = n * n
     space = p ** cells
-    whole = (range(space), space, space.bit_length())
-    draws = _draws(rng, itertools.repeat(whole, 2 * budget))
+    bits = space.bit_length()
     step = p ** (n + 1)  # from diagonal digit i*n + i to the next
-    pairs = [(i * n + j, j * n + i) for i in range(n) for j in range(i + 1, n)]
+    pairs = [(p ** (i * n + j), p ** (j * n + i))  # digits of k(i,j), k(j,i)
+             for i in range(n) for j in range(i + 1, n)]
     labels = [str(i + 1) for i in range(n)]
     hits = []
-    for a, b in zip(draws, draws):
-        x, y, m = a, b, n  # m: diagonal digits left, lowest first
+    for _ in range(budget):
+        a = getrandbits(bits)
+        while a >= space:
+            a = getrandbits(bits)
+        b = getrandbits(bits)
+        while b >= space:
+            b = getrandbits(bits)
+        if (a - b) % p:
+            continue
+        x, y, m = a // step, b // step, n - 1  # m: diagonal digits left
         while m and x % p == y % p:
             x //= step
             y //= step
             m -= 1
         if m:
             continue
+        if any((a // u % p * (a // v % p) - b // u % p * (b // v % p)) % p
+               for u, v in pairs):
+            continue
         adigits, bdigits = [], []
         for x, digits in ((a, adigits), (b, bdigits)):
             for _ in range(cells):
                 x, d = divmod(x, p)
                 digits.append(d)
-        if any((adigits[u] * adigits[v] - bdigits[u] * bdigits[v]) % p
-               for u, v in pairs):
-            continue
         arows = [adigits[t:t + n] for t in range(0, cells, n)]
         brows = [bdigits[t:t + n] for t in range(0, cells, n)]
         k = Kernel(field, labels, arows)

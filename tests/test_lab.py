@@ -4,7 +4,8 @@ The oracle is itself cross-checked against a full enumeration written in the
 test (no shared code, no fixed base point), and against its own former loop,
 kept here as the reference for its exact answers.  The seeded draws of gen,
 perturb and search are likewise checked against their former randrange
-loops, and the sampler under them against randrange and randint.
+loops, and the sampler under gen and perturb against randrange and
+randint.
 """
 
 import itertools
@@ -299,6 +300,24 @@ def _sample(p, rows):
     return sum(x * p ** t for t, x in enumerate(itertools.chain(*rows)))
 
 
+def _plant(monkeypatch, values):
+    # lab's random.Random becomes a stub whose getrandbits hands out values
+    # in order; returns the list of widths it is asked for
+    widths = []
+    feed = iter(values)
+
+    class Planted:
+        def __init__(self, seed):
+            pass
+
+        def getrandbits(self, k):
+            widths.append(k)
+            return next(feed)
+
+    monkeypatch.setattr(lab.random, "Random", Planted)
+    return widths
+
+
 @pytest.mark.parametrize("p", [2, 3])
 def test_search_screens_planted_samples(monkeypatch, p):
     base = [[1, 1, 1],
@@ -322,7 +341,7 @@ def test_search_screens_planted_samples(monkeypatch, p):
     }
     pairs = list(planted.values())
     values = [_sample(p, rows) for pair in pairs for rows in pair]
-    monkeypatch.setattr(lab, "_draws", lambda rng, slots: iter(values))
+    _plant(monkeypatch, values)
     seen = _record_survivors(monkeypatch)
     search_counterexample(PrimeField(p), 3, len(pairs), seed=0)
     reached = [name for name, pair in planted.items() if pair in seen]
@@ -330,11 +349,30 @@ def test_search_screens_planted_samples(monkeypatch, p):
     assert len(seen) == 2
 
     # n = 1 has one digit, the diagonal, and no pairs to screen
-    values = [1, 1, 0, 1, 1, 0, p - 1, p - 1]
-    monkeypatch.setattr(lab, "_draws", lambda rng, slots: iter(values))
+    _plant(monkeypatch, [1, 1, 0, 1, 1, 0, p - 1, p - 1])
     seen.clear()
     search_counterexample(PrimeField(p), 1, 4, seed=0)
     assert seen == [([[1]], [[1]]), ([[p - 1]], [[p - 1]])]
+
+
+@pytest.mark.parametrize("p", [2, 5])
+def test_search_redraws_out_of_range_values(monkeypatch, p):
+    # at n = 4 a draw is 17 bits wide over GF(2), one Mersenne Twister
+    # word, and 38 bits over GF(5), two words
+    n = 4
+    space = p ** (n * n)
+    bits = space.bit_length()
+    top = space - 1  # every digit p - 1
+    # each out-of-range value differs in entry (0, 0) from the value drawn
+    # in its place, so a pair that used it would fail the diagonal screen
+    values = [space, top, space + 2, top,
+              space + 1, 2 ** bits - 1, 0, space + 1, 0]
+    widths = _plant(monkeypatch, values)
+    seen = _record_survivors(monkeypatch)
+    search_counterexample(PrimeField(p), n, 2, seed=0)
+    assert seen == [([[p - 1] * n] * n, [[p - 1] * n] * n),
+                    ([[0] * n] * n, [[0] * n] * n)]
+    assert widths == [bits] * len(values)
 
 
 # ------------------------------------------------------------ perturbation
