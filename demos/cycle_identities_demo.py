@@ -26,8 +26,8 @@ def main():
 
     h = _dense(rng, 4, zero_at=(0, 2))
     square = cycle_product(h, Cycle((0, 1, 2, 3)))
-    hub = F.mul(F.mul(h.entry(2, 3), h.entry(3, 2)),
-                F.mul(h.entry(3, 0), h.entry(0, 3)))
+    hub = F.mul(F.mul(h.rows[2][3], h.rows[3][2]),
+                F.mul(h.rows[3][0], h.rows[0][3]))
     reduced = F.mul(hub, F.div(cycle_product(h, Cycle((0, 1, 2))),
                                cycle_product(h, Cycle((0, 3, 2)))))
     print("4-cycle reduction with a zero at (1,3):")
@@ -42,7 +42,7 @@ def main():
         num = F.mul(num, cycle_product(k, tri))
     den = F.one
     for i in range(4):
-        den = F.mul(den, F.mul(k.entry(i, 4), k.entry(4, i)))
+        den = F.mul(den, F.mul(k.rows[i][4], k.rows[4][i]))
     star = F.div(num, den)
     direct = cycle_product(k, Cycle((0, 1, 2, 3)))
     print("\nstar decomposition over five points:")

@@ -46,7 +46,7 @@ def main():
     print("re-checked: the recovered transform carries the first kernel "
           "onto the second, entry by entry")
 
-    base = k.label_index(res.base_label)
+    base = k.labels.index(res.base_label)
     scale = truth.gauge.values[base]
     renorm = [field.div(v, scale) for v in truth.gauge.values]
     print("ground truth renormalized at the same point:")

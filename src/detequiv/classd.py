@@ -26,17 +26,15 @@ is h(w,c) times the product of row x's other nonzero entries, and the
 scan computes no modular inverse.  Over Q it is L, the lcm of row x's
 integer entries, and the key is h(w,c) (L // h(x,c)).
 
-Over Q each row x is scaled to integers by D_x, the lcm of its
-denominators.  The cross minor on rows {x,w} takes one entry from each of
-them in both of its terms, so scaling multiplies it by D_x D_w, which is
-nonzero: the same cross minors vanish and the witness is the same, found
-without a Fraction operation.
+Over Q the scan reads integer rows: row x of the values times D_x > 0
+(``Kernel.integer_rows``).  The cross minor on rows {x,w} takes one entry
+from each of them in both of its terms, so scaling multiplies it by
+D_x D_w, which is nonzero: the same cross minors vanish and the witness is
+the same, found without a Fraction operation.
 """
 
 import math
 from typing import NamedTuple
-
-from .fields import integer_rows
 
 
 class ClassDReport(NamedTuple):
@@ -65,18 +63,15 @@ def _vanishing_quad(field, rows, first=False):
     Row x's cofactors cof_x, 0 at its zeros, serve all its row pairs:
     keys[c] = rows[w][c] cof_x[c].  Over GF(p), entries in [0, p),
     cof_x[c] is the product of the row's other nonzero entries, built from
-    prefix and suffix products in 3n multiplications mod p.  Over Q, rows
-    of Fractions are scaled to integers first (module docstring), and rows
-    of ints, a kernel's integer rows or the draws of ``lab.gen_instance``,
-    are scanned as they are; one entry's type tells the two apart.  An
-    integer row's cofactors are L // a, L the lcm of its nonzero entries.
+    prefix and suffix products in 3n multiplications mod p.  Over Q the
+    rows are ints: a kernel's integer rows or the draws of
+    ``lab.gen_instance``.  A row's cofactors are L // a, L the lcm of its
+    nonzero entries.
     """
     n = len(rows)
     if n < 4:
         return None
     p = field.p if field.kind == "prime" else None
-    if not p and type(rows[0][0]) is not int:
-        (rows,), _ = integer_rows(field, rows)
     differ = field.nonzero
     best = None
     for x, row_x in enumerate(rows):
@@ -140,6 +135,6 @@ def check_class_d(k):
 
 
 def class_d_ok(field, rows):
-    """The scan's verdict alone, on a matrix of field values, or over Q of
-    ints alone; it stops at the first row pair with dependent columns."""
+    """The scan's verdict alone, on GF(p) values or over Q on integer
+    rows; it stops at the first row pair with dependent columns."""
     return _vanishing_quad(field, rows, first=True) is None

@@ -17,7 +17,7 @@ class NotEquivalent(DetEquivError):
     """The two kernels disagree on some principal minor.
 
     ``subset`` holds the failing index set; ``minor_k`` / ``minor_q`` the two
-    minor values when the refutation came from a determinant comparison.
+    minor values on it.
     """
 
     def __init__(self, message, *, subset, minor_k=None, minor_q=None):

@@ -1,9 +1,10 @@
 """Exact scalar arithmetic over the rationals and over prime fields GF(p).
 
-Field objects bundle the operations; the values themselves stay plain Python
-objects in a canonical form (Fraction in lowest terms, int in [0, p)), so
-equality of values is plain ``==``.  Determinants are computed one way
-for both: on integer rows, eliminated fraction-free (``determinant``).
+Field objects hold the conversions of values and the few operations the
+package calls on them; the values themselves stay plain Python objects in a
+canonical form (Fraction in lowest terms, int in [0, p)), so equality of
+values is plain ``==``.  Determinants are computed one way for both: on
+integer rows, eliminated fraction-free (``determinant``).
 
 A kernel document is read a row at a time (``parse_row``) to integers and
 a scale D: over Q each literal's value times D, the lcm of the row's
@@ -65,17 +66,8 @@ class Rationals:
             return Fraction(value)
         raise TypeError(f"not a rational value: {value!r}")
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
     def mul(self, a, b):
         return a * b
-
-    def neg(self, a):
-        return -a
 
     def div(self, a, b):
         return Fraction(a, b)
@@ -155,17 +147,8 @@ class PrimeField:
             return value % self.p
         raise TypeError(f"not a GF({self.p}) value: {value!r}")
 
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
     def mul(self, a, b):
         return a * b % self.p
-
-    def neg(self, a):
-        return -a % self.p
 
     def div(self, a, b):
         return a * self.inv(b) % self.p

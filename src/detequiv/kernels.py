@@ -113,15 +113,6 @@ class Kernel:
     def n(self):
         return len(self.labels)
 
-    def entry(self, i, j):
-        return self.rows[i][j]
-
-    def label_index(self, label):
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise KeyError(f"unknown label {label!r}") from None
-
     def principal_minor(self, indices):
         """det of the submatrix on the given distinct point indices.
 

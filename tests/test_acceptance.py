@@ -189,8 +189,8 @@ def test_criterion_4_cycle_identities():
         for trial in range(1000):
             f = fields[trial % 3]
             h = _dense_kernel(rng, f, 4, zero_at=(0, 2))
-            hub = f.mul(f.mul(h.entry(2, 3), h.entry(3, 2)),
-                        f.mul(h.entry(3, 0), h.entry(0, 3)))
+            hub = f.mul(f.mul(h.rows[2][3], h.rows[3][2]),
+                        f.mul(h.rows[3][0], h.rows[0][3]))
             assert cycle_product(h, square) == f.mul(
                 hub, f.div(cycle_product(h, Cycle((0, 1, 2))),
                            cycle_product(h, Cycle((0, 3, 2)))))
@@ -198,8 +198,8 @@ def test_criterion_4_cycle_identities():
         for trial in range(1000):
             f = fields[trial % 3]
             h = _dense_kernel(rng, f, 4, zero_at=(2, 0))
-            hub = f.mul(f.mul(h.entry(2, 3), h.entry(3, 2)),
-                        f.mul(h.entry(3, 0), h.entry(0, 3)))
+            hub = f.mul(f.mul(h.rows[2][3], h.rows[3][2]),
+                        f.mul(h.rows[3][0], h.rows[0][3]))
             assert reversed_cycle_product(h, square) == f.mul(
                 hub, f.div(reversed_cycle_product(h, Cycle((0, 1, 2))),
                            reversed_cycle_product(h, Cycle((0, 3, 2)))))
@@ -207,8 +207,8 @@ def test_criterion_4_cycle_identities():
         for trial in range(1000):
             f = fields[trial % 3]
             h = _dense_kernel(rng, f, 4, zero_at=(1, 3))
-            hub = f.mul(f.mul(h.entry(3, 0), h.entry(0, 3)),
-                        f.mul(h.entry(0, 1), h.entry(1, 0)))
+            hub = f.mul(f.mul(h.rows[3][0], h.rows[0][3]),
+                        f.mul(h.rows[0][1], h.rows[1][0]))
             assert cycle_product(h, square) == f.mul(
                 hub, f.div(cycle_product(h, Cycle((1, 2, 3))),
                            reversed_cycle_product(h, Cycle((0, 1, 3)))))
@@ -216,8 +216,8 @@ def test_criterion_4_cycle_identities():
         for trial in range(1000):
             f = fields[trial % 3]
             h = _dense_kernel(rng, f, 4, zero_at=(3, 1))
-            hub = f.mul(f.mul(h.entry(3, 0), h.entry(0, 3)),
-                        f.mul(h.entry(0, 1), h.entry(1, 0)))
+            hub = f.mul(f.mul(h.rows[3][0], h.rows[0][3]),
+                        f.mul(h.rows[0][1], h.rows[1][0]))
             assert reversed_cycle_product(h, square) == f.mul(
                 hub, f.div(reversed_cycle_product(h, Cycle((1, 2, 3))),
                            cycle_product(h, Cycle((0, 1, 3)))))
@@ -231,7 +231,7 @@ def test_criterion_4_cycle_identities():
                 num = f.mul(num, cycle_product(k, tri))
             den = f.one
             for i in range(4):
-                den = f.mul(den, f.mul(k.entry(i, 4), k.entry(4, i)))
+                den = f.mul(den, f.mul(k.rows[i][4], k.rows[4][i]))
             assert cycle_product(k, Cycle((0, 1, 2, 3))) == f.div(num, den)
         rng = random.Random(8600)
         for trial in range(1000):

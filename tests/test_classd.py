@@ -63,7 +63,7 @@ def test_cauchy_kernel_is_nondegenerate():
     assert rep.holds
     assert rep.witness is None
     assert _vanishing_quadruples(k) == []
-    assert class_d_ok(Q, k.rows)
+    assert class_d_ok(Q, k.integer_rows()[0])
 
 
 def test_all_ones_fails_at_first_quadruple():
@@ -72,7 +72,7 @@ def test_all_ones_fails_at_first_quadruple():
     assert not rep.holds
     assert rep.witness == (0, 1, 2, 3)
     assert rep.witness_labels == ("1", "2", "3", "4")
-    assert not class_d_ok(Q, k.rows)
+    assert not class_d_ok(Q, k.integer_rows()[0])
 
 
 def test_identity_kernel_fails_at_first_quadruple():
@@ -99,7 +99,7 @@ def test_scan_matches_brute_force():
             vanishing = _vanishing_quadruples(k)
             rep = check_class_d(k)
             assert rep.holds == (not vanishing)
-            assert class_d_ok(field, k.rows) == rep.holds
+            assert class_d_ok(field, k.integer_rows()[0]) == rep.holds
             if vanishing:
                 assert rep.witness == min(vanishing)
 
@@ -113,7 +113,7 @@ def test_scan_matches_permutation_reference():
             k = _random_kernel(rng, field, rng.randint(1, 6))
             ref = min(_vanishing_quadruples(k), default=None)
             assert check_class_d(k).witness == ref
-            assert class_d_ok(field, k.rows) == (ref is None)
+            assert class_d_ok(field, k.integer_rows()[0]) == (ref is None)
 
 
 def test_scan_matches_fraction_loop_on_wide_denominators():
@@ -165,7 +165,7 @@ def _assert_scan_matches_quartic(k):
     ref = _quartic_reference(k.field, k.rows)
     rep = check_class_d(k)
     assert (rep.holds, rep.witness) == (ref is None, ref), (k.field, k.rows)
-    assert class_d_ok(k.field, k.rows) is (ref is None)
+    assert class_d_ok(k.field, k.integer_rows()[0]) is (ref is None)
     if k.field.kind == "rational" and all(v.denominator == 1
                                           for row in k.rows for v in row):
         # gen hands class_d_ok raw ints over Q

@@ -455,7 +455,7 @@ def _signed_ring(field, n, r):
     k = [[int(i == j or (i < r and j < r and (i - j) % r in (1, r - 1)))
           for j in range(n)] for i in range(n)]
     q = [row[:] for row in k]
-    q[0][1] = q[1][0] = field.neg(field.one)
+    q[0][1] = q[1][0] = field.coerce(-field.one)
     return k, q
 
 
@@ -480,9 +480,9 @@ def test_check_equiv_runs_the_prechecks_only_when_they_can_fail(
                  "flipped": (base, base.transpose().conjugate(g))}
         for order, (i, j) in ((1, (2, 2)), (2, (1, 4))):
             rows = [list(row) for row in pairs["flipped"][1].rows]
-            rows[i][j] = field.add(rows[i][j], field.one)
+            rows[i][j] = field.coerce(rows[i][j] + field.one)
             if order == 1:
-                rows[3][0] = field.add(rows[3][0], field.one)
+                rows[3][0] = field.coerce(rows[3][0] + field.one)
             pairs[order] = base, Kernel(field, labels, rows)
         for r in (3, 4):
             k, q = _signed_ring(field, n, r)

@@ -126,7 +126,7 @@ def test_random_perturbations_give_minimal_witnesses():
             j = rng.randrange(n)
             bump = 1 if field.kind == "prime" else Fraction(1, 3)
             rows = [list(r) for r in q.rows]
-            rows[i][j] = field.add(rows[i][j], bump)
+            rows[i][j] = field.coerce(rows[i][j] + bump)
             q2 = Kernel(field, q.labels, rows)
             rep = check_equivalence(k, q2)
             if rep.equivalent:
@@ -228,9 +228,9 @@ def _variant(rng, k, kind):
     rows = [list(r) for r in k.rows]
     i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
     if kind == "diagonal":          # an order-1 minor
-        rows[i][i] = field.add(rows[i][i], field.one)
+        rows[i][i] = field.coerce(rows[i][i] + field.one)
     elif kind == "entry" and n > 1:  # a pair product, unless k(j, i) = 0
-        rows[i][j] = field.add(rows[i][j], field.one)
+        rows[i][j] = field.coerce(rows[i][j] + field.one)
     elif kind == "swap" and n > 1:   # same pair products, other 3-cycle sums
         rows[i][j], rows[j][i] = rows[j][i], rows[i][j]
     base = Kernel(field, k.labels, rows)
@@ -327,7 +327,7 @@ def _wide_partner(rng, k, kind):
             rows[i][j] = _wide_value(rng, field, unit=True)
         k = Kernel(field, k.labels, rows)
         i, j = ring[0], ring[1]
-        rows[i][j] = field.add(rows[i][j], field.one)
+        rows[i][j] = field.coerce(rows[i][j] + field.one)
     else:
         rows = [list(r) for r in _variant(rng, k, kind).rows]
     gauge = Gauge(field, k.labels,
@@ -352,8 +352,8 @@ def _field_trace_audit(k, q):
     out = []
     for a, b, c in itertools.combinations(range(k.n), 3):
         forward, reverse = Cycle((a, b, c)), Cycle((a, c, b))
-        ks = f.add(cycle_product(k, forward), cycle_product(k, reverse))
-        qs = f.add(cycle_product(q, forward), cycle_product(q, reverse))
+        ks = f.coerce(cycle_product(k, forward) + cycle_product(k, reverse))
+        qs = f.coerce(cycle_product(q, forward) + cycle_product(q, reverse))
         if ks != qs:
             out += [TraceViolation(forward, ks, qs),
                     TraceViolation(reverse, ks, qs)]
@@ -420,7 +420,7 @@ def _ring_pair(rng, k, length, fan):
         rows[end][ring[0]] = _wide_value(rng, field, unit=True)
     base = Kernel(field, k.labels, rows)
     for end in ends:
-        rows[last][end] = field.add(rows[last][end], field.one)
+        rows[last][end] = field.coerce(rows[last][end] + field.one)
     gauge = Gauge(field, k.labels,
                   [_wide_value(rng, field, unit=True) for _ in range(n)])
     return base, Kernel(field, k.labels, rows).conjugate(gauge)
@@ -511,7 +511,7 @@ def test_full_scan_at_sixteen_points():
     assert check_equivalence(k, kt).equivalent
     kr, qr = equivalence._shared_rows(k, kt)[0]
     assert equivalence._walk(field, kr, qr, n) is None
-    rows[ring[0]][ring[1]] = field.add(rows[ring[0]][ring[1]], field.one)
+    rows[ring[0]][ring[1]] = field.coerce(rows[ring[0]][ring[1]] + field.one)
     q = Kernel(field, labels, rows).transpose().conjugate(gauge)
     rep = check_equivalence(k, q)
     assert rep.witness_subset == tuple(sorted(ring))
@@ -945,8 +945,8 @@ def _recheck_pairs(rng, field, n, zeros):
         pairs.append((q, transposed))
         for i, j in itertools.product(range(n), repeat=2):
             rows = [list(r) for r in q.rows]
-            rows[i][j] = field.add(rows[i][j],
-                                   _wide_value(rng, field, unit=True))
+            rows[i][j] = field.coerce(rows[i][j]
+                                      + _wide_value(rng, field, unit=True))
             pairs.append((Kernel(field, k.labels, rows), transposed))
     return k, gauge, pairs
 

@@ -35,7 +35,7 @@ def _det_cofactor(field, rows):
         minor = [[rows[i][jj] for jj in range(n) if jj != j]
                  for i in range(1, n)]
         term = field.mul(rows[0][j], _det_cofactor(field, minor))
-        total = field.add(total, term) if j % 2 == 0 else field.sub(total, term)
+        total = field.coerce(total + term if j % 2 == 0 else total - term)
     return total
 
 
@@ -44,21 +44,17 @@ def _random_rational(rng):
 
 
 def test_rational_ops_frozen_values():
-    assert Q.add(Fraction(1, 2), Fraction(1, 3)) == Fraction(5, 6)
     assert Q.mul(Fraction(2, 3), Fraction(3, 4)) == Fraction(1, 2)
-    assert Q.sub(Fraction(1, 2), Fraction(1, 2)) == 0
     assert Q.div(Fraction(7), Fraction(2)) == Fraction(7, 2)
     assert Q.inv(Fraction(-3, 5)) == Fraction(-5, 3)
-    assert Q.neg(Fraction(4, 6)) == Fraction(-2, 3)
     assert Q.is_zero(Fraction(0)) and not Q.is_zero(Fraction(1, 9))
 
 
 def test_rational_ops_on_ints_stay_exact():
     # coerce admits ints as rational values, so every operation must treat
     # them as such: the Fraction result, never a float (div(1, 2) != 0.5)
-    binary = {Q.add: Fraction.__add__, Q.sub: Fraction.__sub__,
-              Q.mul: Fraction.__mul__, Q.div: Fraction.__truediv__}
-    unary = {Q.neg: Fraction.__neg__, Q.inv: lambda a: 1 / a}
+    binary = {Q.mul: Fraction.__mul__, Q.div: Fraction.__truediv__}
+    unary = {Q.inv: lambda a: 1 / a}
     values = [-7, -2, -1, 0, 1, 2, 3, 12]
     for a in values:
         for b in values:
@@ -84,12 +80,9 @@ def test_rational_ops_on_ints_stay_exact():
 
 
 def test_prime_ops_frozen_values():
-    assert F7.add(5, 4) == 2
-    assert F7.sub(2, 5) == 4
     assert F7.mul(3, 5) == 1
     assert F7.inv(3) == 5
     assert F7.div(1, 3) == 5
-    assert F7.neg(2) == 5
     assert F7.one == 1 and F7.zero == 0
 
 
@@ -111,8 +104,8 @@ def test_prime_ops_randomized_axioms():
             a = rng.randrange(f.p)
             b = rng.randrange(f.p)
             c = rng.randrange(f.p)
-            assert f.add(a, f.neg(a)) == 0
-            assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
+            assert f.coerce(a + f.coerce(-a)) == 0
+            assert f.mul(a, f.coerce(b + c)) == f.coerce(f.mul(a, b) + f.mul(a, c))
             if a != 0:
                 assert f.mul(a, f.inv(a)) == 1
                 assert f.div(f.mul(a, b), a) == b
@@ -343,7 +336,7 @@ def test_determinant_transpose_and_product_properties():
                 for j in range(n):
                     s = f.zero
                     for t in range(n):
-                        s = f.add(s, f.mul(a[i][t], b[t][j]))
+                        s = f.coerce(s + f.mul(a[i][t], b[t][j]))
                     ab[i][j] = s
             assert determinant(f, ab) == f.mul(determinant(f, a), determinant(f, b))
 

@@ -87,12 +87,9 @@ def test_cycle_validation():
 def test_kernel_construction_and_lookup():
     k = Kernel(F7, ["a", "b"], [[1, 2], [3, 4]])
     assert k.n == 2
-    assert k.entry(0, 1) == 2
-    assert k.label_index("b") == 1
-    with pytest.raises(KeyError):
-        k.label_index("c")
+    assert k.rows[0][1] == 2
     # coercion reduces mod p
-    assert Kernel(F7, ["a"], [[9]]).entry(0, 0) == 2
+    assert Kernel(F7, ["a"], [[9]]).rows[0][0] == 2
 
 
 def test_kernel_validation():
@@ -273,7 +270,7 @@ def test_transpose():
     t = k.transpose()
     for i in range(4):
         for j in range(4):
-            assert t.entry(i, j) == k.entry(j, i)
+            assert t.rows[i][j] == k.rows[j][i]
     assert t.transpose() == k
     # transposition preserves every principal minor
     for r in range(5):
@@ -289,8 +286,8 @@ def test_conjugate_entrywise_and_minor_invariance():
         c = k.conjugate(g)
         for i in range(4):
             for j in range(4):
-                expect = field.div(field.mul(g.values[i], k.entry(i, j)), g.values[j])
-                assert c.entry(i, j) == expect
+                expect = field.div(field.mul(g.values[i], k.rows[i][j]), g.values[j])
+                assert c.rows[i][j] == expect
         for r in range(5):
             for idx in itertools.combinations(range(4), r):
                 assert c.principal_minor(idx) == k.principal_minor(idx)
@@ -328,9 +325,9 @@ def test_cocycle_from_gauge_table():
         # the all-ones kernel conjugated by g is the table g(x) / g(y)
         c = Kernel(field, g.labels, [[field.one] * 4] * 4).conjugate(g)
         for i in range(4):
-            assert c.entry(i, i) == field.one
+            assert c.rows[i][i] == field.one
             for j in range(4):
-                assert c.entry(i, j) == field.div(g.values[i], g.values[j])
+                assert c.rows[i][j] == field.div(g.values[i], g.values[j])
 
 
 def test_require_same_points():
@@ -368,12 +365,12 @@ def test_cycle_product_matches_entry_products():
             cyc = Cycle(verts)
             by_hand = field.one
             for t in range(length):
-                by_hand = field.mul(by_hand, k.entry(verts[t], verts[(t + 1) % length]))
+                by_hand = field.mul(by_hand, k.rows[verts[t]][verts[(t + 1) % length]])
             assert cycle_product(k, cyc) == by_hand
             rev_by_hand = field.one
             for t in range(length):
                 rev_by_hand = field.mul(
-                    rev_by_hand, k.entry(verts[(t + 1) % length], verts[t]))
+                    rev_by_hand, k.rows[verts[(t + 1) % length]][verts[t]])
             assert reversed_cycle_product(k, cyc) == rev_by_hand
 
 
@@ -431,29 +428,29 @@ def _run_square_reduction(field, rng, trials):
     square = Cycle((0, 1, 2, 3))
     for _ in range(trials):
         h = _kernel_with_zero(rng, field, (0, 2))
-        rhs = field.mul(field.mul(h.entry(2, 3), h.entry(3, 2)),
-                        field.mul(h.entry(3, 0), h.entry(0, 3)))
+        rhs = field.mul(field.mul(h.rows[2][3], h.rows[3][2]),
+                        field.mul(h.rows[3][0], h.rows[0][3]))
         rhs = field.mul(rhs, field.div(cycle_product(h, Cycle((0, 1, 2))),
                                        cycle_product(h, Cycle((0, 3, 2)))))
         assert cycle_product(h, square) == rhs
 
         h = _kernel_with_zero(rng, field, (2, 0))
-        rhs = field.mul(field.mul(h.entry(2, 3), h.entry(3, 2)),
-                        field.mul(h.entry(3, 0), h.entry(0, 3)))
+        rhs = field.mul(field.mul(h.rows[2][3], h.rows[3][2]),
+                        field.mul(h.rows[3][0], h.rows[0][3]))
         rhs = field.mul(rhs, field.div(reversed_cycle_product(h, Cycle((0, 1, 2))),
                                        reversed_cycle_product(h, Cycle((0, 3, 2)))))
         assert reversed_cycle_product(h, square) == rhs
 
         h = _kernel_with_zero(rng, field, (1, 3))
-        rhs = field.mul(field.mul(h.entry(3, 0), h.entry(0, 3)),
-                        field.mul(h.entry(0, 1), h.entry(1, 0)))
+        rhs = field.mul(field.mul(h.rows[3][0], h.rows[0][3]),
+                        field.mul(h.rows[0][1], h.rows[1][0]))
         rhs = field.mul(rhs, field.div(cycle_product(h, Cycle((1, 2, 3))),
                                        reversed_cycle_product(h, Cycle((0, 1, 3)))))
         assert cycle_product(h, square) == rhs
 
         h = _kernel_with_zero(rng, field, (3, 1))
-        rhs = field.mul(field.mul(h.entry(3, 0), h.entry(0, 3)),
-                        field.mul(h.entry(0, 1), h.entry(1, 0)))
+        rhs = field.mul(field.mul(h.rows[3][0], h.rows[0][3]),
+                        field.mul(h.rows[0][1], h.rows[1][0]))
         rhs = field.mul(rhs, field.div(reversed_cycle_product(h, Cycle((1, 2, 3))),
                                        cycle_product(h, Cycle((0, 1, 3)))))
         assert reversed_cycle_product(h, square) == rhs
@@ -481,5 +478,5 @@ def test_star_decomposition_identity():
                 num = field.mul(num, cycle_product(k, tri))
             den = field.one
             for i in range(4):
-                den = field.mul(den, field.mul(k.entry(i, 4), k.entry(4, i)))
+                den = field.mul(den, field.mul(k.rows[i][4], k.rows[4][i]))
             assert cycle_product(k, Cycle((0, 1, 2, 3))) == field.div(num, den)

@@ -46,8 +46,9 @@ def _nondegenerate_kernel(rng, field, n, zero_pairs=(), symmetric_zeros=False):
             rows[i][j] = 0
             if symmetric_zeros:
                 rows[j][i] = 0
-        if class_d_ok(field, rows):
-            return Kernel(field, _labels(n), rows)
+        k = Kernel(field, _labels(n), rows)
+        if class_d_ok(field, k.integer_rows()[0]):
+            return k
 
 
 def _random_gauge(rng, field, labels):
