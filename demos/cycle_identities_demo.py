@@ -31,8 +31,8 @@ def main():
     reduced = F.mul(hub, F.div(cycle_product(h, Cycle((0, 1, 2))),
                                cycle_product(h, Cycle((0, 3, 2)))))
     print("4-cycle reduction with a zero at (1,3):")
-    print(f"   product around (1,2,3,4) = {F.format(square)}")
-    print(f"   triangles through point 4 rebuild it: {F.format(reduced)}")
+    print(f"   product around (1,2,3,4) = {square}")
+    print(f"   triangles through point 4 rebuild it: {reduced}")
     assert square == reduced
 
     k = _dense(rng, 5)
@@ -46,8 +46,8 @@ def main():
     star = F.div(num, den)
     direct = cycle_product(k, Cycle((0, 1, 2, 3)))
     print("\nstar decomposition over five points:")
-    print(f"   direct 4-cycle product  = {F.format(direct)}")
-    print(f"   four triangles / spokes = {F.format(star)}")
+    print(f"   direct 4-cycle product  = {direct}")
+    print(f"   four triangles / spokes = {star}")
     assert direct == star
 
     g = Gauge(F, [str(i + 1) for i in range(5)],

@@ -29,8 +29,8 @@ def main():
     bad = perturb(k, q, seed=args.seed)
     diff = [(i, j) for i in range(args.n) for j in range(args.n)
             if q.rows[i][j] != bad.rows[i][j]]
-    print("changed entry:", diff[0], f"{field.format(q.rows[diff[0][0]][diff[0][1]])}"
-          f" -> {field.format(bad.rows[diff[0][0]][diff[0][1]])}")
+    print("changed entry:", diff[0], f"{q.rows[diff[0][0]][diff[0][1]]}"
+          f" -> {bad.rows[diff[0][0]][diff[0][1]]}")
 
     try:
         recover(k, bad)
@@ -38,8 +38,8 @@ def main():
     except NotEquivalent as exc:
         s = exc.subset
         print(f"\nrefuted: minors differ on the subset {s}")
-        print(f"   first kernel:  {field.format(k.principal_minor(s))}")
-        print(f"   second kernel: {field.format(bad.principal_minor(s))}")
+        print(f"   first kernel:  {k.principal_minor(s)}")
+        print(f"   second kernel: {bad.principal_minor(s)}")
 
     # independent minimality re-check: everything smaller still agrees
     for order in range(1, len(s)):

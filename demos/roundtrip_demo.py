@@ -32,14 +32,14 @@ def main():
     k, q, truth = gen_instance(spec)
     print(f"drew a nondegenerate {args.n} x {args.n} kernel over {field!r}")
     for row in k.rows:
-        print("   ", [field.format(v) for v in row])
+        print("   ", [str(v) for v in row])
     print(f"companion = conjugate of {'the transpose' if truth.transposed else 'it'}"
-          f" by the (hidden) gauge {[field.format(v) for v in truth.gauge.values]}")
+          f" by the (hidden) gauge {[str(v) for v in truth.gauge.values]}")
 
     res = recover(k, q)
     print(f"\nrecovered: transposed={res.transposed}, "
           f"gauge normalized at point {res.base_label!r}:")
-    print("   ", [field.format(v) for v in res.gauge.values])
+    print("   ", [str(v) for v in res.gauge.values])
 
     target = k.transpose() if res.transposed else k
     assert target.conjugate(res.gauge) == q, "certificate failed its re-check"
@@ -50,7 +50,7 @@ def main():
     scale = truth.gauge.values[base]
     renorm = [field.div(v, scale) for v in truth.gauge.values]
     print("ground truth renormalized at the same point:")
-    print("   ", [field.format(v) for v in renorm])
+    print("   ", [str(v) for v in renorm])
     if res.transposed == truth.transposed:
         match = list(res.gauge.values) == renorm
         print("matches the recovered gauge:", match)

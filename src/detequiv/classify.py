@@ -63,11 +63,10 @@ def classify_3cycle(k, q, cycle):
         label = CaseLabel.CASE2_ONLY
     else:
         label = CaseLabel.NEITHER
-    zero = k.field.is_zero
     if label is CaseLabel.CASE2_ONLY:
-        zero_edges = tuple((a, b) for a, b in cycle.edges() if zero(k.rows[b][a]))
+        zero_edges = tuple((a, b) for a, b in cycle.edges() if not k.rows[b][a])
     else:
-        zero_edges = tuple((a, b) for a, b in cycle.edges() if zero(k.rows[a][b]))
+        zero_edges = tuple((a, b) for a, b in cycle.edges() if not k.rows[a][b])
     return CycleClassification(cycle, label, kf, kr, qf, qr, zero_edges)
 
 

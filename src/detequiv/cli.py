@@ -83,8 +83,8 @@ def _labels(kernel, indices):
     return [kernel.labels[i] for i in indices]
 
 
-def _fmt(field, value):
-    return None if value is None else field.format(value)
+def _fmt(value):
+    return None if value is None else str(value)
 
 
 def _cmd_check_equiv(args):
@@ -97,13 +97,12 @@ def _cmd_check_equiv(args):
         pre = quick_consequences(k, q)
     else:
         pre = PrecheckReport(())
-    f = k.field
     witness = None
     if not rep.equivalent:
         witness = {
             "subset": _labels(k, rep.witness_subset),
-            "minor_k": _fmt(f, rep.witness_minor_k),
-            "minor_q": _fmt(f, rep.witness_minor_q),
+            "minor_k": _fmt(rep.witness_minor_k),
+            "minor_q": _fmt(rep.witness_minor_q),
         }
     doc = {
         "verdict": "equivalent" if rep.equivalent else "not_equivalent",
@@ -113,7 +112,7 @@ def _cmd_check_equiv(args):
             "ok": pre.ok,
             "failures": [
                 {"kind": fail.kind, "points": _labels(k, fail.points),
-                 "k_value": _fmt(f, fail.k_value), "q_value": _fmt(f, fail.q_value)}
+                 "k_value": _fmt(fail.k_value), "q_value": _fmt(fail.q_value)}
                 for fail in pre.failures
             ],
         },
@@ -144,16 +143,15 @@ def _cmd_check_classd(args):
 def _cmd_classify(args):
     k, q = _load_pair(args)
     table = CaseTable.build(k, q)
-    f = k.field
     doc = [
         {
             "cycle": _labels(k, row.cycle.vertices),
             "label": row.label.value,
             "products": {
-                "k": f.format(row.k_forward),
-                "k_rev": f.format(row.k_reversed),
-                "q": f.format(row.q_forward),
-                "q_rev": f.format(row.q_reversed),
+                "k": str(row.k_forward),
+                "k_rev": str(row.k_reversed),
+                "q": str(row.q_forward),
+                "q_rev": str(row.q_reversed),
             },
             "zero_edges": [[k.labels[a], k.labels[b]] for a, b in row.zero_edges],
         }
@@ -179,14 +177,13 @@ def _cmd_classify(args):
 
 def _cmd_recover(args):
     k, q = _load_pair(args)
-    f = k.field
     try:
         result = recover(k, q)
     except NotEquivalent as exc:
         doc = {"error": "not_equivalent",
                "witness": {"subset": _labels(k, exc.subset),
-                           "minor_k": _fmt(f, exc.minor_k),
-                           "minor_q": _fmt(f, exc.minor_q)}}
+                           "minor_k": _fmt(exc.minor_k),
+                           "minor_q": _fmt(exc.minor_q)}}
         _emit(args, doc)
         print(f"not equivalent: witness subset {_labels(k, exc.subset)}")
         return NEGATIVE

@@ -56,7 +56,7 @@ Once orders 1-2 agree, at every cap, the pair is offered a certificate: the
 gauge that carries k, or kᵀ, onto q entry by entry.  Gauge conjugation and
 the flip preserve every principal minor, so a certificate that re-checks
 proves that all minors agree; it cannot pass on a pair that differs
-anywhere, so trying it before order 3 hides no witness.  ``certify`` solves
+anywhere, so trying it before order 3 hides no witness.  ``_certify`` solves
 by propagation along nonzero entries; with matching zero layouts a gauge is
 fixed up to one constant per connected component of the nonzero pattern,
 so the solve misses no certificate.  Both frameworks are one problem on
@@ -125,7 +125,7 @@ def quick_consequences(k, q):
 
 
 class EquivalenceReport(NamedTuple):
-    """A verdict with its witness, or with the certificate of ``certify``
+    """A verdict with its witness, or with the certificate of ``_certify``
     on a certified positive; equality and hash ignore the certificate."""
 
     equivalent: bool
@@ -157,7 +157,7 @@ def check_equivalence(k, q, max_order=None):
     1-4 are compared by closed form, in order of cardinality and then
     lexicographically, which is exact because the scan reaches an order
     only after every smaller subset has agreed.  At every cap, a pair that
-    agrees up to order 2 is then offered the certificate (``certify``); one
+    agrees up to order 2 is then offered the certificate (``_certify``); one
     that re-checks proves every minor equal and is the report's
     ``certificate``.  Otherwise orders 3 and 4 follow, on the subsets that
     hold an entry where each solved gauge fails its re-check (a subset with
@@ -197,37 +197,29 @@ def check_equivalence(k, q, max_order=None):
                              q.principal_minor(witness))
 
 
-def certify(k, q):
-    """The transform carrying k onto q, re-checked entry by entry, or None.
-
-    Returns (transposed, gauge, base_label) with q = g t g^(-1), where t
-    is k, or kᵀ when transposed; the direct framework is tried first, and
-    the gauge is 1 at base_label, the smallest label.  Both frameworks are
-    one problem on kr = D k and qr = D q, the integer rows of the minor
-    scan (``_shared_rows``, row i scaled by D_i): q = g k g^(-1)
-    exactly when qr = g kr g^(-1), and, as krᵀ = kᵀ D, q = g kᵀ g^(-1)
-    exactly when qr = h krᵀ h^(-1) with h = D g.  So each framework solves
-    qr = h t h^(-1), t = kr or krᵀ (kr's columns), by propagation
-    (``_propagate_gauge``), with h = 1 at each root directly and D_root
-    flipped, and re-checks qr(i,j) h(j) = h(i) t(i,j) at every (i, j),
-    the diagonal included, giving up at the first entry that fails
-    (``_failing_entries``).  A flipped h that passes is returned as g = h / D.
-    No conjugated kernel is built.  Such a certificate preserves every
-    principal minor, so it proves equivalence whether or not either kernel
-    has property D.  ``check_equivalence`` returns it as the report's
-    ``certificate``.
-    """
-    require_same_points(k, q)
-    return _certify(k, q, _shared_rows(k, q))[0]
-
-
 def _certify(k, q, rows):
-    """``certify`` on rows = ((kr, qr), scales), the integer rows of k and
-    q and their row scales, as ``_shared_rows`` returns them.
+    """The transform carrying k onto q, re-checked entry by entry, from
+    rows = ((kr, qr), scales) as ``_shared_rows`` returns them: kr = D k
+    and qr = D q, the integer rows of k and q, row i scaled by D_i.
 
     Returns (certificate, ()), or (None, failures) where failures holds,
     for each framework whose gauge was solved but failed the re-check, the
-    rest of its ``_failing_entries``, from the first failing entry on."""
+    rest of its ``_failing_entries``, from the first failing entry on.  The
+    certificate is (transposed, gauge, base_label) with q = g t g^(-1),
+    where t is k, or kᵀ when transposed; the direct framework is tried
+    first, and the gauge is 1 at base_label, the smallest label.
+    q = g k g^(-1) exactly when qr = g kr g^(-1), and, as krᵀ = kᵀ D,
+    q = g kᵀ g^(-1) exactly when qr = h krᵀ h^(-1) with h = D g.  So each
+    framework solves qr = h t h^(-1), t = kr or krᵀ (kr's columns), by
+    propagation (``_propagate_gauge``), with h = 1 at each root directly
+    and D_root flipped, and re-checks qr(i,j) h(j) = h(i) t(i,j) at every
+    (i, j), the diagonal included, giving up at the first entry that fails
+    (``_failing_entries``).  A flipped h that passes is returned as
+    g = h / D.  No conjugated kernel is built.  Such a certificate
+    preserves every principal minor, so it proves equivalence whether or
+    not either kernel has property D.  ``check_equivalence`` returns it as
+    the report's ``certificate``.
+    """
     field = k.field
     base = min(range(k.n), key=lambda i: k.labels[i])
     (kr, qr), scales = rows

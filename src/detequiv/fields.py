@@ -3,7 +3,8 @@
 Field objects hold the conversions of values and the few operations the
 package calls on them; the values themselves stay plain Python objects in a
 canonical form (Fraction in lowest terms, int in [0, p)), so equality of
-values is plain ``==``.  Determinants are computed one way for both: on
+values is plain ``==``, a value prints with ``str`` and is zero exactly
+when it is falsy.  Determinants are computed one way for both: on
 integer rows, eliminated fraction-free (``determinant``).
 
 A kernel document is read a row at a time (``parse_row``) to integers and
@@ -54,7 +55,6 @@ class Rationals:
     """The field of rational numbers; values are Fractions in lowest terms."""
 
     kind = "rational"
-    zero = Fraction(0)
     one = Fraction(1)
     nonzero = bool   # see PrimeField.nonzero
 
@@ -75,16 +75,9 @@ class Rationals:
     def inv(self, a):
         return Fraction(1) / a
 
-    def is_zero(self, a):
-        return a == 0
-
-    def parse(self, text):
-        """Accept "a" or "a/b" with decimal digits and a sign on a alone."""
-        (num,), den = self.parse_row((text,))
-        return Fraction(num, den)
-
     def parse_row(self, cells):
-        """A row of literals as (integers, D): D is the lcm of the literals'
+        """A row of literals "a" or "a/b", decimal digits with a sign on a
+        alone, as (integers, D): D is the lcm of the literals'
         denominators, and each integer is its value times D.  No Fraction
         is built, and no literal is reduced to lowest terms."""
         nums, dens = [], []
@@ -105,9 +98,6 @@ class Rationals:
     def values(self, row, scale):
         """The field values of an integer row with scale D: each entry / D."""
         return tuple([Fraction(a, scale) for a in row])
-
-    def format(self, value):
-        return str(value)
 
     def to_doc(self):
         return {"kind": "rational"}
@@ -135,7 +125,6 @@ class PrimeField:
         if not is_prime(p):
             raise ValueError(f"modulus is not prime: {p}")
         self.p = p
-        self.zero = 0
         self.one = 1
         # nonzero(x) is truthy exactly when the integer x is a nonzero field
         # value: x mod p here, x itself over Q.  Both are builtins, so a
@@ -158,9 +147,6 @@ class PrimeField:
             raise ZeroDivisionError(f"inverse of 0 in GF({self.p})")
         return pow(a, -1, self.p)
 
-    def is_zero(self, a):
-        return a == 0
-
     def parse(self, text):
         """Decimal integers, optionally signed, reduced mod p."""
         if not isinstance(text, str) or not _is_integer(text):
@@ -171,9 +157,6 @@ class PrimeField:
         """A row of literals as (integers, 1): here the integers are the
         field values themselves."""
         return tuple(map(self.parse, cells)), 1
-
-    def format(self, value):
-        return str(value)
 
     def to_doc(self):
         return {"kind": "prime", "p": self.p}

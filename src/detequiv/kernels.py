@@ -148,11 +148,10 @@ class Kernel:
                         for j in range(n)] for i in range(n)])
 
     def to_doc(self):
-        f = self.field
         return {
-            "field": f.to_doc(),
+            "field": self.field.to_doc(),
             "labels": list(self.labels),
-            "entries": [[f.format(v) for v in row] for row in self.rows],
+            "entries": [[str(v) for v in row] for row in self.rows],
         }
 
     @classmethod
@@ -203,15 +202,14 @@ class Gauge:
         if len(vals) != len(labels):
             raise ValueError("one gauge value per label required")
         for lab, v in zip(labels, vals):
-            if field.is_zero(v):
+            if not v:
                 raise ValueError(f"gauge value at {lab!r} is zero")
         self.field = field
         self.labels = labels
         self.values = vals
 
     def to_doc(self):
-        f = self.field
-        return {lab: f.format(v) for lab, v in zip(self.labels, self.values)}
+        return {lab: str(v) for lab, v in zip(self.labels, self.values)}
 
     def __eq__(self, other):
         return (isinstance(other, Gauge) and other.field == self.field

@@ -74,9 +74,9 @@ def gen_instance(spec):
     the conjugate of k (or of its transpose) by a random unit gauge, so the
     pair is equivalent by construction and the returned GroundTruth is the
     exact transform.  Raises GenerationBudgetExceeded when max_attempts
-    rejections pass without an accept, which signals a field too small to
-    be nondegenerate at this n.  Values come from getrandbits exactly as
-    randrange makes them, which a test pins.
+    rejections pass without an accept, and at once over GF(p) when
+    n >= p + 2, where no draw can pass.  Values come from getrandbits
+    exactly as randrange makes them, which a test pins.
     """
     f = spec.field
     n = spec.n
@@ -86,6 +86,11 @@ def gen_instance(spec):
         raise ValueError(f"cannot place {spec.zero_edges} zero edges on {n} points")
     if spec.max_attempts < 1:
         raise ValueError(f"need max_attempts >= 1, got {spec.max_attempts}")
+    if isinstance(f, PrimeField) and n >= f.p + 2:
+        raise GenerationBudgetExceeded(
+            f"no draw over {f!r} with n={n} can pass: two rows are units on "
+            f"{n - 2} columns, more than the {f.p - 1} unit ratios, so two "
+            f"columns share a ratio and a cross minor vanishes", attempts=0)
     free, unit = _slots(f)
     slots = [free if i == j else unit for i in range(n) for j in range(n)]
     rng = random.Random(spec.seed)
@@ -250,10 +255,9 @@ def _push_gauge(field, t_rows, q_rows):
     to 1, and no claim is made that no other choice could have worked).
     """
     n = len(t_rows)
-    zero = field.is_zero
     for i in range(n):
         for j in range(n):
-            if zero(t_rows[i][j]) != zero(q_rows[i][j]):
+            if (not t_rows[i][j]) != (not q_rows[i][j]):
                 return None, True  # definite: no gauge can fix a zero mismatch
     g = [None] * n
     roots = 0
@@ -268,9 +272,9 @@ def _push_gauge(field, t_rows, q_rows):
             for j in range(n):
                 if g[j] is not None or i == j:
                     continue
-                if not zero(t_rows[i][j]):
+                if t_rows[i][j]:
                     g[j] = field.div(field.mul(g[i], t_rows[i][j]), q_rows[i][j])
-                elif not zero(t_rows[j][i]):
+                elif t_rows[j][i]:
                     g[j] = field.div(field.mul(q_rows[j][i], g[i]), t_rows[j][i])
                 else:
                     continue

@@ -4,7 +4,7 @@ Two kernels are related by the paper's canonical transformations when
 Q = g K g⁻¹ for a nowhere-zero gauge g, directly or after the flip K -> Kᵀ;
 the flipped case is the direct one run on the transpose.  ``recover``
 makes one ``equivalence.check_equivalence`` call, which compares minors up
-to order two and then tries ``equivalence.certify``: g solved by
+to order two and then tries ``equivalence._certify``: g solved by
 propagation along nonzero entries of the scan's integer rows, then
 re-checked entry by entry on them up to the first entry that fails, with
 no transposed or conjugated kernel built.  The solve is complete: with
@@ -67,24 +67,23 @@ def build_cocycle_case1(k, q):
     require_same_points(k, q)
     f = k.field
     n = k.n
-    zero = f.is_zero
     rows = []
     for x in range(n):
         row = []
         for y in range(n):
             if x == y:
                 row.append(f.one)
-            elif not zero(k.rows[x][y]):
+            elif k.rows[x][y]:
                 row.append(f.div(q.rows[x][y], k.rows[x][y]))
-            elif not zero(k.rows[y][x]):
-                if zero(q.rows[y][x]):
+            elif k.rows[y][x]:
+                if not q.rows[y][x]:
                     raise BranchUnavailable(
                         f"entry ({k.labels[y]!r}, {k.labels[x]!r}) is zero in the "
                         "second kernel but not the first", pair=(x, y))
                 row.append(f.div(k.rows[y][x], q.rows[y][x]))
             else:
                 z = next((z for z in range(n) if z != x and z != y), None)
-                if z is None or zero(k.rows[x][z]) or zero(k.rows[z][y]):
+                if z is None or not k.rows[x][z] or not k.rows[z][y]:
                     raise BranchUnavailable(
                         f"no usable pivot for the doubly-zero pair "
                         f"({k.labels[x]!r}, {k.labels[y]!r})", pair=(x, y))

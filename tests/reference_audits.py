@@ -31,18 +31,17 @@ def zero_pattern_validate(k):
     """
     rows = k.rows
     n = k.n
-    zero = k.field.is_zero
     out = []
     for x in range(n):
         for y in range(n):
-            if x == y or not zero(rows[x][y]):
+            if x == y or rows[x][y]:
                 continue
             for z in range(n):
                 if z == x or z == y:
                     continue
-                if zero(rows[x][z]):
+                if not rows[x][z]:
                     out.append(ZeroPatternViolation((x, y), (x, z)))
-                if zero(rows[z][y]):
+                if not rows[z][y]:
                     out.append(ZeroPatternViolation((x, y), (z, y)))
     return tuple(out)
 
@@ -139,8 +138,7 @@ def consistency_audit(k, q, x, y, case=GlobalCase.CASE1):
         raise ValueError(f"consistency audit needs n >= 4, got n={n}")
     if x == y:
         raise ValueError("need two distinct points")
-    zero = f.is_zero
-    if not zero(k.rows[x][y]):
+    if k.rows[x][y]:
         raise ValueError("the framework's entry at (x, y) is not zero")
     values = []
     for z in range(n):
@@ -148,7 +146,7 @@ def consistency_audit(k, q, x, y, case=GlobalCase.CASE1):
             continue
         ka = k.rows[x][z]
         kb = k.rows[z][y]
-        if zero(ka) or zero(kb):
+        if not ka or not kb:
             raise BranchUnavailable(
                 f"pivot {k.labels[z]!r} hits a zero entry, which the one-zero "
                 "layout rule forbids", pair=(x, y))
@@ -157,7 +155,7 @@ def consistency_audit(k, q, x, y, case=GlobalCase.CASE1):
         raise Inconsistent(
             f"pivot expression at pair ({k.labels[x]!r}, {k.labels[y]!r}) "
             "depends on the pivot", pair=(x, y), values=values)
-    if not zero(k.rows[y][x]):
+    if k.rows[y][x]:
         direct = f.div(k.rows[y][x], q.rows[y][x])
         if direct != values[0]:
             raise Inconsistent(

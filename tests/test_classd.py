@@ -189,18 +189,18 @@ def _cauchy_with_matching_zeros(rng, field, n, zeros, stray):
     a, b = points[:n], [-x for x in points[n:]]
     u = [unit() for _ in range(n)]
     v = [unit() for _ in range(n)]
-    rows = [[(unit() if rng.random() < 0.5 else field.zero) if i == j
+    rows = [[(unit() if rng.random() < 0.5 else 0) if i == j
              else field.div(field.mul(u[i], v[j]), field.coerce(a[i] - b[j]))
              for j in range(n)] for i in range(n)]
     chosen = rng.sample(range(n), 2 * zeros)
     for t in range(zeros):
         x, y = chosen[2 * t], chosen[2 * t + 1]
-        rows[x][y] = field.zero
+        rows[x][y] = 0
         if rng.random() < 0.5:
-            rows[y][x] = field.zero
+            rows[y][x] = 0
     if stray:
         x, y, z = rng.sample(range(n), 3)
-        rows[x][y] = rows[x][z] = field.zero
+        rows[x][y] = rows[x][z] = 0
     return Kernel(field, [str(i + 1) for i in range(n)], rows)
 
 

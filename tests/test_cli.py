@@ -418,13 +418,12 @@ def _former_check_equiv(args):
     k, q = cli._load_pair(args)
     pre = cli.quick_consequences(k, q)
     rep = cli.check_equivalence(k, q, max_order=args.max_order)
-    f = k.field
     witness = None
     if not rep.equivalent:
         witness = {
             "subset": cli._labels(k, rep.witness_subset),
-            "minor_k": cli._fmt(f, rep.witness_minor_k),
-            "minor_q": cli._fmt(f, rep.witness_minor_q),
+            "minor_k": cli._fmt(rep.witness_minor_k),
+            "minor_q": cli._fmt(rep.witness_minor_q),
         }
     doc = {
         "verdict": "equivalent" if rep.equivalent else "not_equivalent",
@@ -434,7 +433,7 @@ def _former_check_equiv(args):
             "ok": pre.ok,
             "failures": [
                 {"kind": fail.kind, "points": cli._labels(k, fail.points),
-                 "k_value": cli._fmt(f, fail.k_value), "q_value": cli._fmt(f, fail.q_value)}
+                 "k_value": cli._fmt(fail.k_value), "q_value": cli._fmt(fail.q_value)}
                 for fail in pre.failures
             ],
         },

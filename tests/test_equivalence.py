@@ -218,7 +218,7 @@ _DIFF_FIELDS = (PrimeField(2), PrimeField(3), F7, PrimeField(101), Q)
 def _sparse_kernel(rng, field, n, zero_share):
     k = _random_kernel(rng, field, n)
     return Kernel(field, k.labels,
-                  [[field.zero if rng.random() < zero_share else v for v in row]
+                  [[0 if rng.random() < zero_share else v for v in row]
                    for row in k.rows])
 
 
@@ -295,7 +295,7 @@ def _wide_value(rng, field, unit=False):
 
 def _wide_kernel(rng, field, n, zero_share):
     return Kernel(field, [str(i + 1) for i in range(n)],
-                  [[field.zero if rng.random() < zero_share
+                  [[0 if rng.random() < zero_share
                     else _wide_value(rng, field) for _ in range(n)]
                    for _ in range(n)])
 
@@ -322,7 +322,7 @@ def _wide_partner(rng, k, kind):
         for i in ring:
             for j in range(n):
                 if j != i:
-                    rows[i][j] = rows[j][i] = field.zero
+                    rows[i][j] = rows[j][i] = 0
         for i, j in zip(ring, ring[1:] + ring[:1]):
             rows[i][j] = _wide_value(rng, field, unit=True)
         k = Kernel(field, k.labels, rows)
@@ -409,7 +409,7 @@ def _ring_pair(rng, k, length, fan):
     path through another last point, with its last edge changed too, so
     two subsets of that order differ."""
     field, n = k.field, k.n
-    rows = [[k.rows[i][j] if i == j else field.zero for j in range(n)]
+    rows = [[k.rows[i][j] if i == j else 0 for j in range(n)]
             for i in range(n)]
     ring = rng.sample(range(n), length + fan)
     last, ends = ring[length - 2], ring[length - 1:]
@@ -496,7 +496,7 @@ def test_full_scan_at_sixteen_points():
     rng = random.Random(409)
     n = 16
     ring = rng.sample(range(n), 6)
-    rows = [[field.zero] * n for _ in range(n)]
+    rows = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
             if i == j or (i not in ring and j not in ring):
@@ -706,7 +706,7 @@ def _block_flip_pair(rng, field, n):
     of one minor of each block, so every minor agrees, but in general
     neither q nor its flip is a gauge conjugate of k."""
     size = rng.randint(3, n - 3) if n >= 6 else 2
-    rows = [[field.zero] * n for _ in range(n)]
+    rows = [[0] * n for _ in range(n)]
     k = _wide_kernel(rng, field, n, 0.3)
     for i, j in itertools.product(range(n), repeat=2):
         if (i < size) == (j < size):
@@ -741,14 +741,15 @@ def _certificate_pairs(rng, field, n):
 def test_certificate_never_proves_a_negative():
     # certificate-first reports against the plain scan, for every cap; a
     # pair with a certificate must agree on every minor, and an equivalent
-    # report carries certify's certificate, which re-conjugates k or kᵀ
+    # report carries _certify's certificate, which re-conjugates k or kᵀ
     # onto q
     rng = random.Random(410)
     seen = set()
     for field in (PrimeField(2), PrimeField(3), PrimeField(101), Q):
         for n in range(5, 9):
             for k, q in _certificate_pairs(rng, field, n):
-                proof = equivalence.certify(k, q)
+                proof = equivalence._certify(
+                    k, q, equivalence._shared_rows(k, q))[0]
                 if proof is not None:
                     transposed, gauge, _ = proof
                     target = k.transpose() if transposed else k
@@ -907,7 +908,7 @@ def _direct_solve(target, q, base):
 
 
 def _plain_certify(k, q):
-    """certify with the plain re-check: conjugate the whole kernel, k or
+    """_certify with the plain re-check: conjugate the whole kernel, k or
     an explicit kᵀ, and compare it with q."""
     base = min(range(k.n), key=lambda i: k.labels[i])
     for transposed in (False, True):
@@ -956,7 +957,7 @@ def test_integer_recheck_matches_conjugation():
     # finds the gauge that the direct solve finds on an explicit kᵀ; every
     # verdict of the re-check on integer rows equals the plain one
     # (conjugate t by the gauge and compare it with q), for the propagated
-    # gauge of each framework and for the gauge q was built with; certify
+    # gauge of each framework and for the gauge q was built with; _certify
     # returns the first framework whose propagated gauge passes
     rng = random.Random(413)
     verdicts = set()
@@ -993,7 +994,8 @@ def test_integer_recheck_matches_conjugation():
                             verdicts.add((field, want))
                             if want and gauge is solved and not want_proof:
                                 want_proof = transposed, solved, k.labels[0]
-                    assert equivalence.certify(k, q) == want_proof
+                    assert equivalence._certify(
+                        k, q, equivalence._shared_rows(k, q))[0] == want_proof
     assert verdicts == {(field, want) for field in _WALK_FIELDS
                         for want in (False, True)}
 

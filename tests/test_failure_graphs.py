@@ -134,7 +134,7 @@ def _near_symmetric_pair(rng, field, n, points, zero=()):
     rows[a][b] = _other_value(rng, field, rows[a][b])
     rows[c][d] = _other_value(rng, field, rows[c][d])
     for i, j in zero:
-        rows[i][j] = field.zero
+        rows[i][j] = 0
     swapped = [list(r) for r in rows]
     swapped[a][b], swapped[b][a] = rows[b][a], rows[a][b]
     return Kernel(field, _labels(n), rows), _partner(rng, field, swapped)
@@ -146,7 +146,7 @@ def _twisted(rng, q):
     field = q.field
     rows = [list(r) for r in q.rows]
     i, j = rng.sample(range(q.n), 2)
-    if not (field.is_zero(rows[i][j]) or field.is_zero(rows[j][i])):
+    if rows[i][j] and rows[j][i]:
         x = _wide_value(rng, field, unit=True)
         rows[i][j] = field.mul(rows[i][j], x)
         rows[j][i] = field.div(rows[j][i], x)
@@ -176,7 +176,7 @@ def _pairs(rng, field, n):
         rows = [[_wide_value(rng, field, unit=i != j) for j in range(n)]
                 for i in range(n)]
         for i, j in zero:
-            rows[i][j] = field.zero
+            rows[i][j] = 0
         yield Kernel(field, _labels(n), rows), _twisted(
             rng, _partner(rng, field, rows))
 

@@ -17,7 +17,7 @@ import pytest
 
 from detequiv import lab
 from detequiv.classd import check_class_d, class_d_ok
-from detequiv.equivalence import certify, check_equivalence
+from detequiv.equivalence import _certify, _shared_rows, check_equivalence
 from detequiv.errors import (
     ClassDViolation,
     GenerationBudgetExceeded,
@@ -97,11 +97,30 @@ def test_gen_instance_rejects_a_budget_below_one(attempts):
 
 def test_gen_instance_budget_exceeded_over_tiny_field():
     # off-diagonal entries over GF(2) are all 1, so every cross minor is
-    # 1 - 1 = 0 and no draw can ever be accepted
+    # 1 - 1 = 0 and no draw can ever be accepted; gen refuses before a draw
     spec = InstanceSpec(field=PrimeField(2), n=4, seed=1, max_attempts=50)
     with pytest.raises(GenerationBudgetExceeded) as info:
         gen_instance(spec)
-    assert info.value.attempts == 50
+    assert info.value.attempts == 0
+
+
+def test_gen_instance_refuses_at_once_where_no_draw_can_pass(monkeypatch):
+    # from n = p + 2 on, two rows are units on more columns than GF(p) has
+    # unit ratios, so some cross minor vanishes in every draw
+    scans = []
+    monkeypatch.setattr(lab, "class_d_ok",
+                        lambda *a: scans.append(a) or class_d_ok(*a))
+    for p, n in ((2, 4), (3, 5), (5, 7)):
+        for zeros in range(3):
+            spec = InstanceSpec(field=PrimeField(p), n=n, zero_edges=zeros,
+                                seed=1)
+            with pytest.raises(GenerationBudgetExceeded,
+                               match="cross minor vanishes") as info:
+                gen_instance(spec)
+            assert info.value.attempts == 0
+    assert scans == []
+    k, q, _ = gen_instance(InstanceSpec(field=PrimeField(3), n=4, seed=1))
+    assert scans and k.n == 4 and check_class_d(k).holds
 
 
 # ---------------------------------------------- draws against randrange
@@ -607,7 +626,7 @@ def test_oracle_reaches_the_guard_edge(p, n):
         for q in (direct, flipped, Kernel(f, labels, rows)):
             res = brute_force_diagonal_similar(k, q)
             assert res.complete
-            assert res.found == (certify(k, q) is not None)
+            assert res.found == (_certify(k, q, _shared_rows(k, q))[0] is not None)
             if res.found:
                 target = k.transpose() if res.transposed else k
                 assert target.conjugate(res.gauge) == q

@@ -13,17 +13,25 @@ pair:
 - relabelling both kernels by one permutation keeps the verdict and the
   witness order, and the witness minors are k's and q's on the points the
   witness names;
-- ``check_class_d``'s verdict on either kernel survives all three maps.
+- ``check_class_d``'s verdict on either kernel survives all three maps;
+- when ``recover(k, q)`` finds q = g t g⁻¹, with t = k or kᵀ and g = 1 at
+  the base point, ``recover(k, h q h⁻¹)`` finds the same t and base and
+  the gauge h g / h(base), as long as the nonzero pattern is connected so
+  that one gauge is fixed; a refutation keeps its subset and minors.
 """
 
 import random
 from fractions import Fraction
 
+import pytest
+
 from detequiv.classd import check_class_d
 from detequiv.equivalence import check_equivalence
+from detequiv.errors import NotEquivalent
 from detequiv.fields import PrimeField, Rationals
 from detequiv.kernels import Gauge, Kernel
 from detequiv.lab import InstanceSpec, gen_instance, perturb
+from detequiv.recovery import recover
 
 Q = Rationals()
 
@@ -66,27 +74,57 @@ def _assert_relations(rng, k, q):
     return rep
 
 
-def test_relations_on_generated_pairs_and_their_refutations():
-    # GF(3) pairs stop at four points: a row pair of a dense kernel on five
-    # has three other columns and two unit ratios to give them, and
-    # gen_instance's draws there are all degenerate
-    rng = random.Random(3201)
+def _generated_pairs():
+    """(k, q, bad): gen_instance pairs, with at most one zero edge, so
+    their nonzero patterns are connected, and a perturb refutation of each.
+
+    GF(3) pairs stop at four points: a row pair of a dense kernel on five
+    has three other columns and two unit ratios to give them, and
+    gen_instance refuses there."""
     sizes = [(PrimeField(3), 4)] + [(field, n) for field in (PrimeField(101), Q)
                                     for n in range(4, 9)]
-    orders = set()
-    pairs = 0
     for field, n in sizes:
         for seed in range(20):
             spec = InstanceSpec(field, n, transpose=seed % 2 == 1,
                                 zero_edges=seed % 3 % 2, seed=seed)
             k, q, _ = gen_instance(spec)
-            assert _assert_relations(rng, k, q).equivalent
-            rep = _assert_relations(rng, k, perturb(k, q, seed))
-            assert not rep.equivalent
-            orders.add(len(rep.witness_subset))
-            pairs += 2
+            yield k, q, perturb(k, q, seed)
+
+
+def test_relations_on_generated_pairs_and_their_refutations():
+    rng = random.Random(3201)
+    orders = set()
+    pairs = 0
+    for k, q, bad in _generated_pairs():
+        assert _assert_relations(rng, k, q).equivalent
+        rep = _assert_relations(rng, k, bad)
+        assert not rep.equivalent
+        orders.add(len(rep.witness_subset))
+        pairs += 2
     assert pairs == 440
     assert orders == {1, 2, 3}
+
+
+def test_recover_relation_on_generated_pairs_and_their_refutations():
+    rng = random.Random(3204)
+    pairs = 0
+    for k, q, bad in _generated_pairs():
+        f = k.field
+        h = Gauge(f, k.labels, _units(rng, f, k.n))
+        res = recover(k, q)
+        base = k.labels.index(res.base_label)
+        moved = Gauge(f, k.labels, [f.div(f.mul(x, g), h.values[base])
+                                    for x, g in zip(h.values, res.gauge.values)])
+        assert recover(k, q.conjugate(h)) == res._replace(gauge=moved)
+        refuted = []
+        for other in (bad, bad.conjugate(h)):
+            with pytest.raises(NotEquivalent) as info:
+                recover(k, other)
+            refuted.append((info.value.subset, info.value.minor_k,
+                            info.value.minor_q))
+        assert refuted[0] == refuted[1]
+        pairs += 1
+    assert pairs == 220
 
 
 def _near_symmetric(field, n):
