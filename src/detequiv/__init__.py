@@ -18,7 +18,6 @@ from .classify import (
 )
 from .equivalence import (
     EquivalenceReport,
-    PrecheckReport,
     check_equivalence,
     quick_consequences,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "NotEquivalent",
     "NotRecoverable",
     "OracleResult",
-    "PrecheckReport",
     "PrimeField",
     "Rationals",
     "RecoveryResult",

@@ -9,9 +9,7 @@ included, only to the command it runs: the first word of the arguments
 that does not start with a dash. Every other command is a bare stub with
 its name, help line and handler, which is all the top-level help, the
 usage line and the invalid-choice error print; argparse never hands a stub
-a word to parse (see ``_build_parser``). The parser is not cached, since
-the bench's ``peak_rss_mb`` grows with the calls a run makes and a cache
-pushed it past its bound (ROADMAP item 6).
+a word to parse (see ``_build_parser``).
 """
 
 import argparse
@@ -20,7 +18,7 @@ import sys
 
 from .classd import check_class_d
 from .classify import CaseTable, global_case
-from .equivalence import PrecheckReport, check_equivalence, quick_consequences
+from .equivalence import check_equivalence, quick_consequences
 from .errors import (
     ClassDViolation,
     FieldMismatch,
@@ -83,8 +81,9 @@ def _labels(kernel, indices):
     return [kernel.labels[i] for i in indices]
 
 
-def _fmt(value):
-    return None if value is None else str(value)
+def _witness(kernel, subset, minor_k, minor_q):
+    return {"subset": _labels(kernel, subset),
+            "minor_k": str(minor_k), "minor_q": str(minor_q)}
 
 
 def _cmd_check_equiv(args):
@@ -94,26 +93,23 @@ def _cmd_check_equiv(args):
     # order 2 or a positive at a cap above 1 shows that all of them agree
     if rep.certificate is None and (rep.checked_order_max == 1 or (
             not rep.equivalent and len(rep.witness_subset) <= 2)):
-        pre = quick_consequences(k, q)
+        failures = quick_consequences(k, q)
     else:
-        pre = PrecheckReport(())
+        failures = ()
     witness = None
     if not rep.equivalent:
-        witness = {
-            "subset": _labels(k, rep.witness_subset),
-            "minor_k": _fmt(rep.witness_minor_k),
-            "minor_q": _fmt(rep.witness_minor_q),
-        }
+        witness = _witness(k, rep.witness_subset, rep.witness_minor_k,
+                           rep.witness_minor_q)
     doc = {
         "verdict": "equivalent" if rep.equivalent else "not_equivalent",
         "checked_order_max": rep.checked_order_max,
         "witness": witness,
         "prechecks": {
-            "ok": pre.ok,
+            "ok": not failures,
             "failures": [
                 {"kind": fail.kind, "points": _labels(k, fail.points),
-                 "k_value": _fmt(fail.k_value), "q_value": _fmt(fail.q_value)}
-                for fail in pre.failures
+                 "k_value": str(fail.k_value), "q_value": str(fail.q_value)}
+                for fail in failures
             ],
         },
     }
@@ -181,9 +177,7 @@ def _cmd_recover(args):
         result = recover(k, q)
     except NotEquivalent as exc:
         doc = {"error": "not_equivalent",
-               "witness": {"subset": _labels(k, exc.subset),
-                           "minor_k": _fmt(exc.minor_k),
-                           "minor_q": _fmt(exc.minor_q)}}
+               "witness": _witness(k, exc.subset, exc.minor_k, exc.minor_q)}
         _emit(args, doc)
         print(f"not equivalent: witness subset {_labels(k, exc.subset)}")
         return NEGATIVE
@@ -255,8 +249,7 @@ def _cmd_oracle(args):
         flip = "flip + " if res.transposed else ""
         print(f"transform found by brute force: {flip}diagonal")
         return OK
-    print("no diagonal transform found"
-          + ("" if res.complete else " (search incomplete: disconnected pattern)"))
+    print("no diagonal transform found")
     return NEGATIVE
 
 
@@ -365,7 +358,7 @@ def main(argv=None):
     try:
         return args.handler(args)
     except (FieldMismatch, LabelMismatch, GenerationBudgetExceeded,
-            OSError, ValueError, KeyError) as exc:
+            OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
     except Exception as exc:

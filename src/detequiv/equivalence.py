@@ -101,27 +101,19 @@ class PrecheckFailure(NamedTuple):
     q_value: object
 
 
-class PrecheckReport(NamedTuple):
-    failures: tuple
-
-    @property
-    def ok(self):
-        return not self.failures
-
-
 def quick_consequences(k, q):
     """Cheap necessary conditions: equal diagonals, equal opposite-pair products.
 
     These are exactly what agreement of order-1 and order-2 principal minors
     forces, so any failure here refutes equivalence with a witness of size
-    at most two.  Failures come in the minor scan's order: diagonals, then
-    pairs lexicographically.
+    at most two.  Returns the PrecheckFailures, empty when all hold, in the
+    minor scan's order: diagonals, then pairs lexicographically.
     """
     require_same_points(k, q)
     kind = (None, "diagonal", "pair")
-    return PrecheckReport(tuple(
+    return tuple(
         PrecheckFailure(kind[len(s)], s, _field_term(k, s), _field_term(q, s))
-        for s in _drift(k.field, *_shared_rows(k, q)[0], (1, 2))))
+        for s in _drift(k.field, *_shared_rows(k, q)[0], (1, 2)))
 
 
 class EquivalenceReport(NamedTuple):

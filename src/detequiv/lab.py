@@ -161,9 +161,8 @@ def brute_force_diagonal_similar(k, q):
     dense pattern prunes almost every prefix, and a sparse one that binds
     only at the last point tries about (p-1)^(n-1) values a flip.  Every
     answer it gives is complete.  Over the rationals: gauge propagation
-    along nonzero entries plus a full re-check; complete when the nonzero
-    pattern is connected, otherwise a miss is reported with complete=False
-    rather than guessed.
+    along nonzero entries plus a full re-check, complete on every pattern
+    (see ``_push_gauge``).
     """
     require_same_points(k, q)
     if isinstance(k.field, PrimeField):
@@ -234,37 +233,34 @@ def _least_gauge(t, q, p, budget):
 
 
 def _propagate_rational(k, q):
-    all_definite = True
     for transposed in (False, True):
         t = k.transpose() if transposed else k
-        values, definite = _push_gauge(k.field, t.rows, q.rows)
+        values = _push_gauge(k.field, t.rows, q.rows)
         if values is not None:
             return OracleResult(True, True, transposed,
                                 Gauge(k.field, k.labels, values))
-        all_definite = all_definite and definite
-    # the miss is a definite verdict only if it was definite for both flips
-    return OracleResult(False, all_definite)
+    return OracleResult(False, True)
 
 
 def _push_gauge(field, t_rows, q_rows):
-    """Independent re-implementation of gauge propagation for the oracle.
+    """Independent re-implementation of gauge propagation for the oracle:
+    the gauge g with q = g t g^(-1), or None when there is none.
 
-    Returns (values, definite); values is None on a miss, and the miss is
-    flagged indefinite when the nonzero pattern was disconnected (the
-    conservative stance: propagation roots beyond the first are pinned
-    to 1, and no claim is made that no other choice could have worked).
+    Each component of the nonzero pattern gets g = 1 at its root, and the
+    propagation forces the rest.  The miss is definite on every pattern:
+    any gauge, divided on each component by its value at that component's
+    root, is again a gauge; it is 1 at every root, so propagation forces
+    its other values, and the re-check passes.
     """
     n = len(t_rows)
     for i in range(n):
         for j in range(n):
             if (not t_rows[i][j]) != (not q_rows[i][j]):
-                return None, True  # definite: no gauge can fix a zero mismatch
+                return None  # no gauge can fix a zero mismatch
     g = [None] * n
-    roots = 0
     for root in range(n):
         if g[root] is not None:
             continue
-        roots += 1
         g[root] = field.one
         queue = [root]
         while queue:
@@ -279,12 +275,11 @@ def _push_gauge(field, t_rows, q_rows):
                 else:
                     continue
                 queue.append(j)
-    connected = roots == 1
     for i in range(n):
         for j in range(n):
             if q_rows[i][j] != field.div(field.mul(g[i], t_rows[i][j]), g[j]):
-                return None, connected
-    return g, connected
+                return None
+    return g
 
 
 def search_counterexample(field, n, budget, seed):

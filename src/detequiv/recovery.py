@@ -199,8 +199,6 @@ def recover(k, q):
 
 
 def _require_class_d(*kernels):
-    if kernels[0].n < 4:
-        return
     for role, kern in zip(("first", "second"), kernels):
         crep = check_class_d(kern)
         if not crep.holds:

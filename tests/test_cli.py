@@ -108,6 +108,28 @@ def test_classify_verdicts(tmp_path):
     assert main(["classify", "--k", kp, "--q", bp]) == 1
 
 
+def test_classify_mixed_frameworks(tmp_path, capsys):
+    # two 3x3 blocks: q keeps the first and transposes the second, so one
+    # cycle matches only directly and the other only flipped
+    a = [[1, 2, 3], [4, 5, 6], [7, 8, 10]]
+    b = [[2, 3, 5], [7, 11, 13], [17, 19, 23]]
+
+    def blocks(x, y):
+        return [row + [0] * 3 for row in x] + [[0] * 3 + row for row in y]
+
+    f = PrimeField(101)
+    labels = list("abcdef")
+    kp = _write_doc(tmp_path / "k.json",
+                    Kernel(f, labels, blocks(a, b)).to_doc())
+    qp = _write_doc(tmp_path / "q.json",
+                    Kernel(f, labels, blocks(a, [list(c) for c in zip(*b)])).to_doc())
+    assert main(["classify", "--k", kp, "--q", qp]) == 1
+    assert capsys.readouterr().out == (
+        "frameworks mixed: cycle Cycle((0, 1, 2)) matches only directly but "
+        "Cycle((3, 4, 5)) matches only flipped "
+        "(case1_only=1, case2_only=1, both=18)\n")
+
+
 def test_recover_round_trip(tmp_path, capsys):
     for transpose in (False, True):
         kp, qp, k, q, truth = _gen_pair_files(
@@ -220,6 +242,20 @@ def test_oracle_refuses_past_its_guard(tmp_path, capsys):
     assert "guard" in capsys.readouterr().err
 
 
+def test_oracle_rational_disconnected_miss(tmp_path, capsys):
+    # two 2x2 blocks, the second differing in one entry: the miss is
+    # definite, since any gauge can be rescaled to 1 at each block's root
+    k = [[1, 2, 0, 0], [3, 4, 0, 0], [0, 0, 5, 6], [0, 0, 7, 8]]
+    q = [[1, 2, 0, 0], [3, 4, 0, 0], [0, 0, 5, 12], [0, 0, 7, 8]]
+    kp = _write_doc(tmp_path / "k.json", Kernel(Q, list("abcd"), k).to_doc())
+    qp = _write_doc(tmp_path / "q.json", Kernel(Q, list("abcd"), q).to_doc())
+    out = tmp_path / "oracle.json"
+    assert main(["oracle", "--k", kp, "--q", qp, "--out", str(out)]) == 1
+    assert capsys.readouterr().out == "no diagonal transform found\n"
+    doc = json.loads(out.read_text())
+    assert doc["found"] is False and doc["complete"] is True
+
+
 def test_search_command(tmp_path):
     out = tmp_path / "hits.json"
     assert main(["search", "--field", "prime:2", "--n", "4",
@@ -251,6 +287,12 @@ def test_input_errors_exit_two(tmp_path):
                  "--max-order", "9"]) == 2
 
 
+@pytest.mark.parametrize("spec", ["prime:x", "gf7"])
+def test_gen_bad_field_spec_exits_two(spec, capsys):
+    assert main(["gen", "--field", spec, "--n", "4"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: bad field spec {spec!r}")
+
+
 @pytest.mark.parametrize("change", [
     {"field": {"kind": "prime", "p": "7"}},
     {"labels": 5},
@@ -275,6 +317,17 @@ def test_internal_faults_exit_three(tmp_path, monkeypatch):
                  "--budget", "10"]) == 3
     kp, qp, _, _, _ = _gen_pair_files(tmp_path)
     assert main(["perturb", "--k", kp, "--q", qp]) == 3
+
+
+def test_key_error_is_an_internal_fault(tmp_path, monkeypatch, capsys):
+    # every document key is checked before use, so no input raises KeyError
+    def fault(*args, **kwargs):
+        raise KeyError("x")
+
+    kp, qp, _, _, _ = _gen_pair_files(tmp_path)
+    monkeypatch.setattr(cli, "check_equivalence", fault)
+    assert main(["check-equiv", "--k", kp, "--q", qp]) == 3
+    assert "internal verification failure" in capsys.readouterr().err
 
 
 def test_unexpected_exceptions_exit_three(tmp_path, monkeypatch, capsys):
@@ -422,19 +475,19 @@ def _former_check_equiv(args):
     if not rep.equivalent:
         witness = {
             "subset": cli._labels(k, rep.witness_subset),
-            "minor_k": cli._fmt(rep.witness_minor_k),
-            "minor_q": cli._fmt(rep.witness_minor_q),
+            "minor_k": str(rep.witness_minor_k),
+            "minor_q": str(rep.witness_minor_q),
         }
     doc = {
         "verdict": "equivalent" if rep.equivalent else "not_equivalent",
         "checked_order_max": rep.checked_order_max,
         "witness": witness,
         "prechecks": {
-            "ok": pre.ok,
+            "ok": not pre,
             "failures": [
                 {"kind": fail.kind, "points": cli._labels(k, fail.points),
-                 "k_value": cli._fmt(fail.k_value), "q_value": cli._fmt(fail.q_value)}
-                for fail in pre.failures
+                 "k_value": str(fail.k_value), "q_value": str(fail.q_value)}
+                for fail in pre
             ],
         },
     }

@@ -657,14 +657,14 @@ def test_oracle_rational_zero_mismatch_is_definite():
     assert res.complete
 
 
-def test_oracle_rational_disconnected_miss_is_indefinite():
+def test_oracle_rational_disconnected_miss_is_definite():
     block = [[1, 2, 0, 0], [3, 4, 0, 0], [0, 0, 5, 6], [0, 0, 7, 8]]
     other = [[1, 2, 0, 0], [3, 4, 0, 0], [0, 0, 5, 12], [0, 0, 7, 8]]
     labels = list("abcd")
     k = Kernel(Q, labels, block)
     res = brute_force_diagonal_similar(k, Kernel(Q, labels, other))
     assert not res.found
-    assert not res.complete
+    assert res.complete
     # the hit side of a disconnected pattern still counts
     g = Gauge(Q, labels, [2, 3, 5, 7])
     res = brute_force_diagonal_similar(k, k.conjugate(g))

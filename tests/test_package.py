@@ -21,7 +21,7 @@ def test_public_names_are_pinned():
         "EquivalenceReport", "FieldMismatch", "Gauge",
         "GenerationBudgetExceeded", "GlobalCase", "GroundTruth",
         "InstanceSpec", "Kernel", "LabelMismatch", "MixedCases",
-        "NotEquivalent", "NotRecoverable", "OracleResult", "PrecheckReport",
+        "NotEquivalent", "NotRecoverable", "OracleResult",
         "PrimeField", "Rationals", "RecoveryResult", "VerificationFailed",
         "brute_force_diagonal_similar", "build_cocycle_case1",
         "check_class_d", "check_equivalence", "classify_3cycle",

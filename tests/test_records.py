@@ -10,7 +10,7 @@ import pytest
 
 from detequiv.classd import ClassDReport
 from detequiv.classify import CaseLabel, CaseTable, CycleClassification, GlobalCase
-from detequiv.equivalence import EquivalenceReport, PrecheckFailure, PrecheckReport
+from detequiv.equivalence import EquivalenceReport, PrecheckFailure
 from detequiv.fields import PrimeField
 from detequiv.kernels import Cycle, Gauge
 from detequiv.lab import GroundTruth, InstanceSpec, OracleResult
@@ -43,10 +43,6 @@ RECORDS = [
       ("q_value", EMPTY)],
      ("pair", (0, 1), 6, 5),
      "PrecheckFailure(kind='pair', points=(0, 1), k_value=6, q_value=5)"),
-    (PrecheckReport,
-     [("failures", EMPTY)],
-     ((),),
-     "PrecheckReport(failures=())"),
     (EquivalenceReport,
      [("equivalent", EMPTY), ("checked_order_max", EMPTY),
       ("witness_subset", None), ("witness_minor_k", None),
@@ -131,8 +127,6 @@ def test_equivalence_report_ignores_its_certificate():
 
 
 def test_methods_and_properties():
-    assert PrecheckReport(()).ok
-    assert not PrecheckReport((PrecheckFailure("diagonal", (0,), 1, 2),)).ok
     row = CycleClassification(Cycle((0, 1, 2)), CaseLabel.NEITHER, 1, 2, 3, 4, ())
     table = CaseTable((row,))
     assert table.neither_rows() == (row,)

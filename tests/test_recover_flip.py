@@ -94,7 +94,7 @@ def _table_first_recover(k, q):
     if n <= 3:
         for transposed in (False, True):
             target = k.transpose() if transposed else k
-            values, _ = _push_gauge(f, target.rows, q.rows)
+            values = _push_gauge(f, target.rows, q.rows)
             if values is not None:
                 return RecoveryResult(transposed, Gauge(f, k.labels, values),
                                       k.labels[0])

@@ -49,28 +49,31 @@ def _relabel(kern, perm):
                   [[kern.rows[i][j] for j in perm] for i in perm])
 
 
-def _assert_relations(rng, k, q):
+def _assert_relations(rng, k, q, relabellings=1):
     """Check every relation of the module docstring on (k, q), with a
-    random gauge and permutation; return the pair's report."""
+    random gauge and ``relabellings`` random permutations; return the
+    pair's report."""
     rep = check_equivalence(k, q)
     assert check_equivalence(q, k) == rep._replace(
         witness_minor_k=rep.witness_minor_q, witness_minor_q=rep.witness_minor_k)
     assert check_equivalence(k.transpose(), q) == rep
     gauge = Gauge(k.field, k.labels, _units(rng, k.field, k.n))
     assert check_equivalence(k, q.conjugate(gauge)) == rep
-    perm = rng.sample(range(k.n), k.n)
-    moved = check_equivalence(_relabel(k, perm), _relabel(q, perm))
-    assert moved.equivalent == rep.equivalent
-    if not rep.equivalent:
-        assert len(moved.witness_subset) == len(rep.witness_subset)
-        back = sorted(perm[i] for i in moved.witness_subset)
-        assert (moved.witness_minor_k, moved.witness_minor_q) == (
-            k.principal_minor(back), q.principal_minor(back))
+    perms = [rng.sample(range(k.n), k.n) for _ in range(relabellings)]
+    for perm in perms:
+        moved = check_equivalence(_relabel(k, perm), _relabel(q, perm))
+        assert moved.equivalent == rep.equivalent
+        if not rep.equivalent:
+            assert len(moved.witness_subset) == len(rep.witness_subset)
+            back = sorted(perm[i] for i in moved.witness_subset)
+            assert (moved.witness_minor_k, moved.witness_minor_q) == (
+                k.principal_minor(back), q.principal_minor(back))
     for kern in (k, q):
         holds = check_class_d(kern).holds
         assert check_class_d(kern.transpose()).holds == holds
         assert check_class_d(kern.conjugate(gauge)).holds == holds
-        assert check_class_d(_relabel(kern, perm)).holds == holds
+        for perm in perms:
+            assert check_class_d(_relabel(kern, perm)).holds == holds
     return rep
 
 
@@ -168,3 +171,43 @@ def test_relations_on_a_signed_ring():
         rep = _assert_relations(rng, Kernel(field, labels, k),
                                 Kernel(field, labels, q))
         assert rep.witness_subset == tuple(range(n))
+
+
+def _defect_pair(rng, field, n):
+    """A sparse k and a gauge conjugate of it with d = 1-3 defects.
+
+    k has units on its diagonal, and each off-diagonal entry is a unit with
+    probability 0.2-0.4.  Each defect scales an entry (i, j) of the
+    conjugate, with (j, i) also nonzero, by a unit u != 1 and (j, i) by
+    u⁻¹: the pair products, so orders 1-2, stay equal, and only cycles
+    through a defect edge change, which sends many pairs past order 4."""
+    density = rng.uniform(0.2, 0.4)
+    rows = [[_units(rng, field, 1)[0] if i == j or rng.random() < density else 0
+             for j in range(n)] for i in range(n)]
+    labels = [str(i + 1) for i in range(n)]
+    k = Kernel(field, labels, rows)
+    q = [list(row) for row in
+         k.conjugate(Gauge(field, labels, _units(rng, field, n))).rows]
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n)
+             if rows[i][j] and rows[j][i]]
+    for i, j in rng.sample(edges, min(len(edges), rng.randint(1, 3))):
+        u = 1
+        while u == 1:
+            u = _units(rng, field, 1)[0]
+        q[i][j] = field.mul(q[i][j], u)
+        q[j][i] = field.div(q[j][i], u)
+    return k, Kernel(field, labels, q)
+
+
+def test_relations_on_defect_pairs():
+    # the pairs the walk decides, with no certificate and either no
+    # witness or one of order >= 5, are the ones the relabellings probe
+    rng = random.Random(3205)
+    walked = 0
+    for field in (PrimeField(3), PrimeField(101), PrimeField(1000003), Q):
+        for _ in range(60):
+            k, q = _defect_pair(rng, field, rng.randint(6, 10))
+            rep = _assert_relations(rng, k, q, relabellings=3)
+            walked += rep.certificate is None and (
+                rep.equivalent or len(rep.witness_subset) >= 5)
+    assert walked >= 15
