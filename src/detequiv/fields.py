@@ -147,16 +147,15 @@ class PrimeField:
             raise ZeroDivisionError(f"inverse of 0 in GF({self.p})")
         return pow(a, -1, self.p)
 
-    def parse(self, text):
-        """Decimal integers, optionally signed, reduced mod p."""
-        if not isinstance(text, str) or not _is_integer(text):
-            raise ValueError(f"bad GF({self.p}) literal: {text!r}")
-        return int(text) % self.p
-
     def parse_row(self, cells):
-        """A row of literals as (integers, 1): here the integers are the
-        field values themselves."""
-        return tuple(map(self.parse, cells)), 1
+        """A row of literals, decimal integers with an optional sign, as
+        (integers, 1): here the integers are the field values themselves,
+        each literal reduced mod p."""
+        for text in cells:
+            if not isinstance(text, str) or not _is_integer(text):
+                raise ValueError(f"bad GF({self.p}) literal: {text!r}")
+        p = self.p
+        return tuple([int(text) % p for text in cells]), 1
 
     def to_doc(self):
         return {"kind": "prime", "p": self.p}

@@ -129,7 +129,6 @@ def perturb(k, q, seed):
     rng = random.Random(seed)
     for _ in range(10000):
         i, j, value = _draws(rng, slots)
-        value = f.coerce(value)
         if value == q.rows[i][j]:
             continue
         rows = [list(row) for row in q.rows]
@@ -142,7 +141,6 @@ def perturb(k, q, seed):
 
 class OracleResult(NamedTuple):
     found: bool
-    complete: bool
     transposed: bool = None
     gauge: Gauge = None
 
@@ -161,29 +159,27 @@ def brute_force_diagonal_similar(k, q):
     dense pattern prunes almost every prefix, and a sparse one that binds
     only at the last point tries about (p-1)^(n-1) values a flip.  Every
     answer it gives is complete.  Over the rationals: gauge propagation
-    along nonzero entries plus a full re-check, complete on every pattern
-    (see ``_push_gauge``).
+    along nonzero entries plus a full re-check (``_push_gauge``), on k^T
+    only when k has none, so the direct framework wins; complete on every
+    pattern.
     """
     require_same_points(k, q)
-    if isinstance(k.field, PrimeField):
-        return _enumerate_prime(k, q)
-    return _propagate_rational(k, q)
-
-
-def _enumerate_prime(k, q):
     f = k.field
-    p = f.p
-    n = k.n
-    # a gauge fixes no diagonal entry, and k and its transpose share them
-    if any(k.rows[i][i] != q.rows[i][i] for i in range(n)):
-        return OracleResult(False, True)
-    direct, budget = _least_gauge(k.rows, q.rows, p, _ENUMERATION_GUARD)
-    flipped, _ = _least_gauge(list(zip(*k.rows)), q.rows, p, budget)
+    kt = list(zip(*k.rows))
+    if isinstance(f, PrimeField):
+        # a gauge fixes no diagonal entry, and k and its transpose share them
+        if any(k.rows[i][i] != q.rows[i][i] for i in range(k.n)):
+            return OracleResult(False)
+        direct, budget = _least_gauge(k.rows, q.rows, f.p, _ENUMERATION_GUARD)
+        flipped, _ = _least_gauge(kt, q.rows, f.p, budget)
+    else:
+        direct = _push_gauge(f, k.rows, q.rows)
+        flipped = _push_gauge(f, kt, q.rows) if direct is None else None
     if direct is None and flipped is None:
-        return OracleResult(False, True)
+        return OracleResult(False)
     transposed = direct is None or (flipped is not None and flipped < direct)
     g = flipped if transposed else direct
-    return OracleResult(True, True, transposed, Gauge(f, k.labels, g))
+    return OracleResult(True, transposed, Gauge(f, k.labels, g))
 
 
 def _least_gauge(t, q, p, budget):
@@ -230,16 +226,6 @@ def _least_gauge(t, q, p, budget):
             m -= 1
             v = g[m]
     return (g if m == n else None), budget
-
-
-def _propagate_rational(k, q):
-    for transposed in (False, True):
-        t = k.transpose() if transposed else k
-        values = _push_gauge(k.field, t.rows, q.rows)
-        if values is not None:
-            return OracleResult(True, True, transposed,
-                                Gauge(k.field, k.labels, values))
-    return OracleResult(False, True)
 
 
 def _push_gauge(field, t_rows, q_rows):

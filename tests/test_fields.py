@@ -168,6 +168,7 @@ def test_is_prime_spot_checks():
     assert is_prime(2**31 - 1)
     assert not is_prime(2**31 - 3)
     assert not is_prime(46337 * 46337)  # just below 2**31
+    assert not any(is_prime(p) for p in range(-3, 2))
 
 
 def test_rational_parse_and_format():
@@ -186,14 +187,13 @@ def test_rational_parse_rejects(bad):
 
 
 def test_prime_parse_and_format():
-    assert F7.parse("12") == 5
-    assert F7.parse("-1") == 6
-    assert F7.parse("+3") == 3
-    assert str(F7.parse("700")) == "0"
-    with pytest.raises(ValueError):
-        F7.parse("1/2")
-    with pytest.raises(ValueError):
-        F7.parse("seven")
+    assert F7.parse_row(["12", "-1", "+3"]) == ((5, 6, 3), 1)
+    ((zero,), _) = F7.parse_row(["700"])
+    assert str(zero) == "0"
+    with pytest.raises(ValueError, match="bad GF"):
+        F7.parse_row(["1", "1/2"])
+    with pytest.raises(ValueError, match="bad GF"):
+        F7.parse_row(["seven"])
 
 
 _INTEGER_RE = re.compile(r"[+-]?\d+\Z")
@@ -287,8 +287,8 @@ def test_field_public_names_are_pinned():
                                    "nonzero", "one", "parse_row", "to_doc",
                                    "values"]
     assert public(PrimeField(7)) == ["coerce", "div", "inv", "kind", "mul",
-                                     "nonzero", "one", "p", "parse",
-                                     "parse_row", "to_doc"]
+                                     "nonzero", "one", "p", "parse_row",
+                                     "to_doc"]
 
 
 def test_determinant_frozen_values():

@@ -90,6 +90,7 @@ def test_kernel_construction_and_lookup():
     assert k.rows[0][1] == 2
     # coercion reduces mod p
     assert Kernel(F7, ["a"], [[9]]).rows[0][0] == 2
+    assert repr(k) == "Kernel(n=2, field=PrimeField(7))"
 
 
 def test_kernel_validation():
@@ -313,6 +314,9 @@ def test_gauge_rejects_zero():
         Gauge(Q, ["a", "b"], [1, 0])
     with pytest.raises(ValueError):
         Gauge(F7, ["a"], [7])  # 7 = 0 mod 7
+    with pytest.raises(ValueError, match="one gauge value per label"):
+        Gauge(F7, ["a", "b"], [1])
+    assert repr(Gauge(Q, ["a", "b"], [1, 2])) == "Gauge(n=2, field=Rationals())"
 
 
 def test_cocycle_from_gauge_table():

@@ -62,10 +62,9 @@ RECORDS = [
      ("g", True),
      "GroundTruth(gauge='g', transposed=True)"),
     (OracleResult,
-     [("found", EMPTY), ("complete", EMPTY), ("transposed", None),
-      ("gauge", None)],
-     (True, True),
-     "OracleResult(found=True, complete=True, transposed=None, gauge=None)"),
+     [("found", EMPTY), ("transposed", None), ("gauge", None)],
+     (True,),
+     "OracleResult(found=True, transposed=None, gauge=None)"),
     (CocycleViolation,
      [("law", EMPTY), ("points", EMPTY), ("value", EMPTY)],
      ("triangle", (0, 1, 2), 3),

@@ -20,11 +20,13 @@ pair:
   that one gauge is fixed; a refutation keeps its subset and minors.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from detequiv import equivalence
 from detequiv.classd import check_class_d
 from detequiv.equivalence import check_equivalence
 from detequiv.errors import NotEquivalent
@@ -32,6 +34,8 @@ from detequiv.fields import PrimeField, Rationals
 from detequiv.kernels import Gauge, Kernel
 from detequiv.lab import InstanceSpec, gen_instance, perturb
 from detequiv.recovery import recover
+
+from test_failure_graphs import _FIELDS, _pairs
 
 Q = Rationals()
 
@@ -211,3 +215,40 @@ def test_relations_on_defect_pairs():
             walked += rep.certificate is None and (
                 rep.equivalent or len(rep.witness_subset) >= 5)
     assert walked >= 15
+
+
+def _head_blind_edged_subsets(n, order, graphs):
+    """``equivalence._edged_subsets`` with a fault: a head that already
+    holds an edge of a graph is still narrowed to its neighbours in it."""
+    top = (1 << n) - 1
+    for head in itertools.combinations(range(n - 1), order - 1):
+        allowed = top >> head[-1] + 1 << head[-1] + 1
+        for graph in graphs:
+            near = 0
+            for x in head:
+                near |= graph[x]
+            allowed &= near
+        while allowed:
+            bit = allowed & -allowed
+            allowed ^= bit
+            yield (*head, bit.bit_length() - 1)
+
+
+def test_relations_catch_the_head_entry_mutant(monkeypatch):
+    # the failure-graph pairs pass; with the head's own failing entries
+    # ignored, the scan skips subsets that differ, and the relabellings,
+    # which move the heads, expose it
+    rng = random.Random(3206)
+    pairs = [pair for field in _FIELDS for n in (5, 6)
+             for pair in _pairs(rng, field, n)]
+    assert len(pairs) == 324
+    for k, q in pairs:
+        _assert_relations(rng, k, q, relabellings=3)
+    monkeypatch.setattr(equivalence, "_edged_subsets", _head_blind_edged_subsets)
+    caught = 0
+    for k, q in pairs:
+        try:
+            _assert_relations(rng, k, q, relabellings=3)
+        except AssertionError:
+            caught += 1
+    assert caught >= 50
